@@ -1,16 +1,16 @@
-"""Hypergraph Ramsey constructions with girth control.
+"""Exhaustive verifiers for the structures of the girth Ramsey theorem.
 
-The package implements a layered data model (hypergraphs and set
-systems, systems of copies, pretrains, quasitrains and trains), the
-explicit Ramsey constructions over it (power construction over
-combinatorial lines, picture amalgamation, the blow-up extension
-process), and brute-force verifiers for every structural predicate the
-theory uses (girth at several levels, tidiness, master and supreme
-copies, clean intersections, forests of copies, arrowing).
+The package implements the layered data model of Reiher and Rödl, *The
+girth Ramsey theorem* (hypergraphs and set systems, systems of copies,
+pretrains, quasitrains and trains), the extensions of pretrains and
+quasitrains (wagon assimilation, semidirect extension, derivation,
+disjoint unions), and exhaustive verifiers for the structural
+predicates (girth at several levels, tidiness, master and supreme
+copies, clean intersections, sequence girth, arrowing).
 """
 
-from .errors import (Budget, BudgetExceeded, InvalidArgument, ParseError,
-                     PartiteError, PreconditionViolation)
+from .errors import (Budget, BudgetExceeded, InvalidArgument, PartiteError,
+                     PreconditionViolation)
 from .core import (Embedding, Hypergraph, PartiteStructure, SetSystem,
                    are_isomorphic, as_set_system, canonical_cycle,
                    check_cycle, complete_graph, complete_multipartite,
@@ -24,7 +24,7 @@ from .copies import (Connector, Copy, CopySystem, CycleClass, CycleOfCopies,
                      check_copy_cycle, classify_cycle,
                      clean_intersection_violation,
                      clean_intersections_linear_form, copy_of_embedding,
-                     cycle_metrics, edge_connector, enumerate_copy_cycles,
+                     edge_connector, enumerate_copy_cycles,
                      find_master_copy, girth_of_system_exceeds,
                      girth_of_system_witness, has_clean_intersections,
                      has_master, is_semitidy, is_tidy, master_copies,

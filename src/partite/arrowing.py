@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import Hypergraph, complete_multipartite, enumerate_copies
-from .copies import Copy, CopySystem
+from .copies import Copy, CopySystem, _copy_problems
 from .errors import Budget, BudgetExceeded, InvalidArgument
 
 DEFAULT_BUDGET = Budget()
@@ -169,15 +169,23 @@ def _decide_and_witness(n_items: int, groups: Sequence[tuple[int, ...]],
 # public oracles
 
 
+def _require_copies_in_host(system: CopySystem) -> None:
+    problems = _copy_problems(system.host, system.copies)
+    if problems:
+        raise InvalidArgument("; ".join(problems))
+
+
 def edge_arrows(system: CopySystem, r: int,
                 budget: Budget | None = None) -> ArrowResult:
     """Does every r-coloring of the host's edges leave a monochromatic copy?
 
     A copy is monochromatic when all of its edges received the same
     color; copies without edges are monochromatic vacuously.  Witness
-    colorings align with the host's canonical edge order.
+    colorings align with the host's canonical edge order.  A copy that
+    does not lie in the host raises ``InvalidArgument``.
     """
     budget = budget or DEFAULT_BUDGET
+    _require_copies_in_host(system)
     host = system.host
     index = {e: i for i, e in enumerate(host.edge_sets)}
     groups = [tuple(sorted(index[e] for e in c.edge_sets))
@@ -191,6 +199,7 @@ def vertex_arrows(system: CopySystem, r: int,
                   budget: Budget | None = None) -> ArrowResult:
     """Vertex-coloring analogue: some copy ends with all vertices alike."""
     budget = budget or DEFAULT_BUDGET
+    _require_copies_in_host(system)
     host = system.host
     index = {v: i for i, v in enumerate(host.vertices)}
     groups = [tuple(sorted(index[v] for v in c.vertices))
@@ -201,7 +210,7 @@ def vertex_arrows(system: CopySystem, r: int,
 
 
 # ---------------------------------------------------------------------------
-# combinatorial words and lines (shared with the power construction)
+# combinatorial words, lines and the line property
 
 
 def enumerate_words(t: int, n: int) -> list[tuple[int, ...]]:

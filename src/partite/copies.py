@@ -3,19 +3,19 @@
 A *system of copies* is a pair (H, ℱ) of a host hypergraph and a set of
 subhypergraphs, the *real copies*.  Every edge e of the host contributes
 a further degenerate copy, the *edge copy* with vertex set e and single
-edge e; the extended family consists of the real copies together with
+edge e; the *members* of the system are the real copies together with
 all edge copies.
 
 A *cycle of copies* is an alternating cyclic sequence
 
     F_1 q_1 F_2 q_2 ... F_n q_n        (n >= 2)
 
-of copies from the extended family and *connectors*, where cyclically
-consecutive copies are distinct, the connectors are distinct, and each
-connector q_i is either a vertex lying in both neighbouring copies or an
-edge belonging to both.  The numerical invariants (length, order, the
-pair ``h``), the tidiness conditions, master copies, and the resulting
-girth notion for systems all live here.
+of members and *connectors*, where cyclically consecutive copies are
+distinct, the connectors are distinct, and each connector q_i is either
+a vertex lying in both neighbouring copies or an edge belonging to
+both.  The numerical invariants (length, order, the pair ``h``), the
+tidiness conditions, master copies, and the resulting girth notion for
+systems all live here.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .core import (Edge, Hypergraph, Vertex, _canonical_cyclic,
                    canonical_edge, ekey, sort_vertices, vkey)
@@ -105,20 +105,16 @@ def copy_of_embedding(emb) -> Copy:
 # systems of copies
 
 
-@dataclass(frozen=True)
-class CopySystem:
-    """A host hypergraph together with its copies.
+class _Members:
+    """Membership shared by systems of copies, pretrain copies and
+    quasitrain copies.
 
-    Realness is a matter of shape: a listed copy consisting of a single
-    edge and nothing else counts as an edge copy, exactly as if it had
-    entered through the extended view.  ``pattern`` optionally records
-    the hypergraph the copies are copies of; validation then checks
-    each listed copy is isomorphic to it.
+    ``copies`` is deduplicated and put in canonical order.  The members
+    are the listed copies together with every edge copy of the host,
+    unless the system has an ``extended`` flag and it is off.  Realness
+    is a matter of shape: a listed copy consisting of a single edge and
+    nothing else counts as an edge copy, not a real one.
     """
-
-    host: Hypergraph
-    copies: tuple[Copy, ...]
-    pattern: Hypergraph | None = None
 
     def __post_init__(self):
         cs = sorted(set(self.copies), key=lambda c: c.key)
@@ -129,40 +125,59 @@ class CopySystem:
         return frozenset(c for c in self.copies if not c.is_edge_shaped)
 
     @cached_property
-    def edge_copies(self) -> tuple[Copy, ...]:
-        return tuple(Copy.of_edge(e) for e in self.host.edges)
-
-    @cached_property
-    def extended_copies(self) -> tuple[Copy, ...]:
-        """Real copies together with all edge copies, deduplicated."""
+    def members(self) -> tuple[Copy, ...]:
+        if not getattr(self, "extended", True):
+            return self.copies
         seen: dict[Copy, None] = dict.fromkeys(self.copies)
-        for c in self.edge_copies:
-            seen.setdefault(c)
+        for e in self.host.edges:
+            seen.setdefault(Copy.of_edge(e))
         return tuple(sorted(seen, key=lambda c: c.key))
 
     @cached_property
-    def extended_set(self) -> frozenset:
-        return frozenset(self.extended_copies)
+    def member_set(self) -> frozenset:
+        return frozenset(self.members)
 
     def is_real(self, c: Copy) -> bool:
         return c in self.real_set
 
     def is_member(self, c: Copy) -> bool:
-        return c in self.extended_set
+        return c in self.member_set
+
+
+@dataclass(frozen=True)
+class CopySystem(_Members):
+    """A host hypergraph together with its copies.
+
+    Every edge copy of the host is a member.  ``pattern`` optionally
+    records the hypergraph the copies are copies of; validation then
+    checks each listed copy is isomorphic to it.
+    """
+
+    host: Hypergraph
+    copies: tuple[Copy, ...]
+    pattern: Hypergraph | None = None
+
+
+def _copy_problems(host: Hypergraph, copies: Iterable[Copy]) -> list[str]:
+    """One problem for each copy with vertices outside the host and one
+    for each copy with edges outside it."""
+    problems = []
+    for c in copies:
+        if not host.vertex_set.issuperset(c.vertices):
+            problems.append(
+                f"copy on {c.vertices!r} has vertices outside the host")
+        if not host.edge_family.issuperset(c.edge_sets):
+            problems.append(
+                f"copy on {c.vertices!r} has edges outside the host")
+    return problems
 
 
 def validate_system(system: CopySystem) -> list[str]:
     """Structural problems of a system of copies; empty list when fine."""
     from .core import are_isomorphic, validate
     problems = validate(system.host)
-    H = system.host
     for c in system.copies:
-        if not c.vertex_set <= H.vertex_set:
-            problems.append(
-                f"copy on {c.vertices!r} has vertices outside the host")
-        if not c.edge_family <= H.edge_family:
-            problems.append(
-                f"copy on {c.vertices!r} has edges outside the host")
+        problems += _copy_problems(system.host, (c,))
         if system.pattern is not None:
             if not are_isomorphic(c.as_hypergraph(k=system.pattern.k),
                                   system.pattern):
@@ -354,11 +369,11 @@ class CycleOfCopies:
 def check_copy_cycle(system: CopySystem, cycle: CycleOfCopies) -> list[str]:
     """Violations of the cycle-of-copies conditions, empty when valid.
 
-    Checks membership of every copy in the extended family of the
-    system, cyclic distinctness of consecutive copies, distinctness of
-    the connectors, and that each connector joins its two neighbours
-    (a vertex connector lies in both copies, an edge connector is an
-    edge of both).
+    Checks that every copy is a member of the system, cyclic
+    distinctness of consecutive copies, distinctness of the connectors,
+    and that each connector joins its two neighbours (a vertex
+    connector lies in both copies, an edge connector is an edge of
+    both).
     """
     problems: list[str] = []
     n = cycle.length
@@ -482,11 +497,6 @@ def classify_cycle(system: CopySystem, cycle: CycleOfCopies) -> CycleClass:
     return CycleClass("untidy")
 
 
-def cycle_metrics(cycle: CycleOfCopies) -> tuple[int, int]:
-    """The pair (order, length); invariant under rotation/reflection."""
-    return cycle.h
-
-
 # ---------------------------------------------------------------------------
 # master copies
 
@@ -533,72 +543,87 @@ def _exemplifying_family(system: CopySystem, cycle: CycleOfCopies,
                          star: Copy) -> dict[int, Edge] | None:
     """Least family replacing all non-star copies, or None."""
     n = cycle.length
+
+    def options_at(i: int) -> list:
+        flanks = (cycle.connectors[(i - 1) % n], cycle.connectors[i])
+        return [(f, (Copy.of_edge(f),), ())
+                for f, fs in zip(star.edges, star.edge_sets)
+                if all(q.value in fs if q.is_vertex
+                       else frozenset(q.value) == fs for q in flanks)]
+
+    got = _least_collapse(cycle, star, options_at, CycleOfCopies,
+                          lambda c: check_copy_cycle(system, c))
+    return None if got is None else got[0]
+
+
+def _least_collapse(cycle: CycleOfCopies, star: Copy, options_at,
+                    make, check) -> tuple[dict, CycleOfCopies] | None:
+    """The least collapse of every non-star copy of the cycle, or None.
+
+    ``options_at(i)`` lists, in order of preference, the ways to
+    replace the copy at position i: triples of a label, the run of
+    copies taking its place and the connectors introduced between them.
+    The backtracking runs over the replaced positions in cyclic order;
+    cyclically consecutive copies of the collapse must differ and the
+    introduced connectors must be new.  The collapse, spliced with
+    ``make``, must pass ``check`` with no problem.  Returns the chosen
+    labels keyed by position together with the collapse.
+    """
+    n = cycle.length
     positions = [i for i in range(n) if cycle.copies[i] != star]
     if not positions:
         # every copy of the cycle equals star; consecutive copies would
         # coincide, so such a cycle cannot exist in the first place
         return None
-
-    candidates: list[list[Edge]] = []
+    options = []
     for i in positions:
-        flanks = (cycle.connectors[(i - 1) % n], cycle.connectors[i])
-        good: list[Edge] = []
-        for f in star.edges:
-            fs = frozenset(f)
-            ok = True
-            for q in flanks:
-                if q.is_vertex:
-                    if q.value not in fs:
-                        ok = False
-                        break
-                else:
-                    if frozenset(q.value) != fs:
-                        ok = False
-                        break
-            if ok:
-                good.append(f)
-        if not good:
+        opts = options_at(i)
+        if not opts:
             return None
-        candidates.append(good)
+        options.append(opts)
 
-    # backtrack over the replaced positions in cyclic order; the only
-    # interactions left are the distinctness of consecutive copies in
-    # the replaced cycle
-    def conflicts(i_pos: int, f: Edge, chosen: dict[int, Edge]) -> bool:
-        i = positions[i_pos]
-        fcopy = Copy.of_edge(f)
-        for nb in ((i - 1) % n, (i + 1) % n):
-            if cycle.copies[nb] == star:
-                if fcopy == star:
-                    return True
-            elif nb in chosen:
-                if Copy.of_edge(chosen[nb]) == fcopy:
-                    return True
-        return False
+    taken = set(cycle.connectors)
+    chosen: dict[int, tuple] = {}
 
-    chosen: dict[int, Edge] = {}
+    def end(i: int, side: int) -> Copy | None:
+        """The first (side 0) or last (side -1) copy at position i after
+        the collapse; None while the position is undecided."""
+        if cycle.copies[i] == star:
+            return star
+        got = chosen.get(i)
+        return None if got is None else got[1][side]
 
-    def pick(i_pos: int) -> bool:
-        if i_pos == len(positions):
+    def pick(at: int) -> bool:
+        if at == len(positions):
             return True
-        for f in candidates[i_pos]:
-            if conflicts(i_pos, f, chosen):
+        i = positions[at]
+        for label, run, links in options[at]:
+            if (end((i - 1) % n, -1) == run[0]
+                    or end((i + 1) % n, 0) == run[-1]
+                    or not taken.isdisjoint(links)):
                 continue
-            chosen[positions[i_pos]] = f
-            if pick(i_pos + 1):
+            chosen[i] = (label, run, links)
+            taken.update(links)
+            if pick(at + 1):
                 return True
-            del chosen[positions[i_pos]]
+            taken.difference_update(links)
+            del chosen[i]
         return False
 
     if not pick(0):
         return None
-    # paranoia: the replacement must be a genuine cycle of copies
-    steps = [(Copy.of_edge(chosen[i]) if i in chosen else cycle.copies[i],
-              cycle.connectors[i]) for i in range(n)]
-    replaced = CycleOfCopies(tuple(steps))
-    if check_copy_cycle(system, replaced):
+    steps: list[Step] = []
+    for i, (c, q) in enumerate(cycle.steps):
+        if i in chosen:
+            _, run, links = chosen[i]
+            steps += zip(run, links + (q,))
+        else:
+            steps.append((c, q))
+    replaced = make(tuple(steps))
+    # paranoia: the collapse must be a genuine cycle
+    if check(replaced):
         return None
-    return dict(chosen)
+    return {i: got[0] for i, got in chosen.items()}, replaced
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +649,77 @@ def _max_cycle_length(bound: tuple[int, int]) -> int:
     return max(2 * (g - 1), min(n, 2 * g))
 
 
+def _closing_walks(members: Sequence[Copy], links, make, keep,
+                   max_len: int) -> tuple[CycleOfCopies, ...]:
+    """Every cycle that a closing walk through ``members`` makes and
+    ``keep`` accepts, once each, ordered by h and then lexicographically.
+
+    A walk starts at some member, goes on only to members of index at
+    least the start, never stays at a member and never reuses a
+    connector; it has at most ``max_len`` steps.  The connectors
+    between two members are their shared vertices followed by
+    ``links(a, b)``.  A walk back to its start after at least two steps
+    is made into a cycle by ``make``, which canonicalises it; ``keep``
+    is asked once for each cycle not found before.
+    """
+    found: set[CycleOfCopies] = set()
+    joint_cache: dict[tuple[int, int], tuple[Connector, ...]] = {}
+
+    def joints(i: int, j: int) -> tuple[Connector, ...]:
+        key = (i, j) if i <= j else (j, i)
+        got = joint_cache.get(key)
+        if got is None:
+            a, b = members[key[0]], members[key[1]]
+            qs = [vertex_connector(v)
+                  for v in sort_vertices(a.vertex_set & b.vertex_set)]
+            qs += links(a, b)
+            got = tuple(qs)
+            joint_cache[key] = got
+        return got
+
+    def search(seq: list[tuple[int, Connector | None]]):
+        """seq holds (member index, connector after it); the last
+        connector is None until the cycle closes."""
+        depth = len(seq)
+        first = seq[0][0]
+        last = seq[-1][0]
+        used = {q for _, q in seq if q is not None}
+        if depth >= 2 and last != first:
+            # try to close the cycle back to the first member
+            for q in joints(last, first):
+                if q in used:
+                    continue
+                steps = tuple((members[i], qq) for i, qq in seq[:-1]) + (
+                    (members[last], q),)
+                cyc = make(steps)
+                if cyc not in found and keep(cyc):
+                    found.add(cyc)
+        if depth == max_len:
+            return
+        for j in range(first, len(members)):
+            if j == last:
+                continue
+            for q in joints(last, j):
+                if q in used:
+                    continue
+                seq[-1] = (last, q)
+                seq.append((j, None))
+                search(seq)
+                seq.pop()
+                seq[-1] = (last, None)
+
+    for start in range(len(members)):
+        search([(start, None)])
+
+    return tuple(sorted(
+        found, key=lambda c: (c.h, tuple((cp.key, q.key) for cp, q in c.steps))))
+
+
+def _shared_edges(a: Copy, b: Copy) -> list[Connector]:
+    return [edge_connector(tuple(sorted(e, key=vkey)))
+            for e in sorted(a.edge_family & b.edge_family, key=ekey)]
+
+
 def enumerate_copy_cycles(system: CopySystem, bound,
                           notion: str = "tidy") -> tuple[CycleOfCopies, ...]:
     """All cycles with h at most ``bound`` satisfying the notion.
@@ -636,66 +732,16 @@ def enumerate_copy_cycles(system: CopySystem, bound,
     if notion not in ("tidy", "semitidy", "all"):
         raise InvalidArgument(f"unknown cycle notion {notion!r}")
     gb = normalize_girth_bound(bound)
-    max_len = _max_cycle_length(gb)
-    found: set[CycleOfCopies] = set()
 
-    copies = system.extended_copies
-    # adjacency: all connectors available between a pair of copies
-    joint_cache: dict[tuple[int, int], tuple[Connector, ...]] = {}
+    def keep(cyc: CycleOfCopies) -> bool:
+        if cyc.h > gb:
+            return False
+        if notion == "tidy":
+            return is_tidy(system, cyc)
+        return notion == "all" or is_semitidy(system, cyc)
 
-    def joints(i: int, j: int) -> tuple[Connector, ...]:
-        key = (i, j) if i <= j else (j, i)
-        got = joint_cache.get(key)
-        if got is None:
-            a, b = copies[key[0]], copies[key[1]]
-            qs = [vertex_connector(v)
-                  for v in sort_vertices(a.vertex_set & b.vertex_set)]
-            qs += [edge_connector(tuple(sorted(e, key=vkey)))
-                   for e in sorted(a.edge_family & b.edge_family, key=ekey)]
-            got = tuple(qs)
-            joint_cache[key] = got
-        return got
-
-    def search(seq: list[tuple[int, Connector | None]]):
-        """seq holds (copy index, connector after it); the last connector
-        is None until the cycle closes."""
-        depth = len(seq)
-        first = seq[0][0]
-        last = seq[-1][0]
-        used_conn = {q for _, q in seq if q is not None}
-        if depth >= 2 and last != first:
-            # try to close the cycle back to the first copy
-            for q in joints(last, first):
-                if q in used_conn:
-                    continue
-                steps = tuple((copies[i], qq) for i, qq in seq[:-1]) + (
-                    (copies[last], q),)
-                cyc = CycleOfCopies(steps)
-                if cyc.h <= gb and cyc not in found:
-                    if notion == "all" \
-                            or (notion == "tidy" and is_tidy(system, cyc)) \
-                            or (notion == "semitidy"
-                                and is_semitidy(system, cyc)):
-                        found.add(cyc)
-        if depth == max_len:
-            return
-        for j in range(first, len(copies)):
-            if j == last:
-                continue
-            for q in joints(last, j):
-                if q in used_conn:
-                    continue
-                seq[-1] = (last, q)
-                seq.append((j, None))
-                search(seq)
-                seq.pop()
-                seq[-1] = (last, None)
-
-    for start in range(len(copies)):
-        search([(start, None)])
-
-    return tuple(sorted(
-        found, key=lambda c: (c.h, tuple((cp.key, q.key) for cp, q in c.steps))))
+    return _closing_walks(system.members, _shared_edges, CycleOfCopies,
+                          keep, _max_cycle_length(gb))
 
 
 def girth_of_system_witness(system: CopySystem, bound,

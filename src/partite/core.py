@@ -554,7 +554,6 @@ def is_linear(obj: Hypergraph | SetSystem) -> bool:
     """No two distinct edges share more than one vertex."""
     edge_sets = as_set_system(obj).edge_sets
     # pairwise check through shared vertices; quadratic only in local degree
-    seen: dict[frozenset, None] = {}
     incident: dict[Vertex, list[int]] = {}
     for i, e in enumerate(edge_sets):
         for v in e:

@@ -1,15 +1,15 @@
 """Error taxonomy shared across the package.
 
-Every failure mode that callers (and the command line front end) need to
-distinguish gets its own exception class.  The CLI maps these onto exit
-codes, so the split must stay stable:
+Every failure mode that callers need to tell apart gets its own
+exception class, all derived from ``PartiteError``:
 
 * ``InvalidArgument``     -- the input value itself is malformed,
 * ``PreconditionViolation`` -- the value is well formed but the operation's
   mathematical precondition (linearity, subhypergraph containment, ...)
   does not hold,
-* ``BudgetExceeded``      -- an exhaustive search ran out of its budget,
-* ``ParseError``          -- a document could not be decoded.
+* ``BudgetExceeded``      -- an exhaustive search ran out of its budget.
+
+``Budget`` holds the limits that the searches check.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ class InvalidArgument(PartiteError, ValueError):
 
 class PreconditionViolation(PartiteError, ValueError):
     """A structural precondition of the requested operation fails."""
-
-
-class ParseError(PartiteError, ValueError):
-    """A document is syntactically or semantically unreadable."""
 
 
 class BudgetExceeded(PartiteError, RuntimeError):
@@ -52,13 +48,11 @@ class Budget:
     """Machine-readable resource limits for the exhaustive searches.
 
     ``nodes`` bounds the number of explored partial colourings (the unit
-    used by the arrowing oracle), ``vertices`` bounds the size of
-    constructed hypergraphs, and ``exponent`` bounds power-construction
-    searches.  ``None`` means unlimited.
+    used by the arrowing oracle) and ``exponent`` bounds the search of
+    :func:`partite.arrowing.min_hj_exponent`.  ``None`` means unlimited.
     """
 
     nodes: int | None = 1 << 24
-    vertices: int | None = None
     exponent: int | None = 12
 
     def check_nodes(self, spent: int) -> None:
@@ -66,9 +60,3 @@ class Budget:
             raise BudgetExceeded(
                 f"search budget exhausted after {spent} explored states",
                 spent=spent, budget=self.nodes)
-
-    def check_vertices(self, count: int, what: str = "hypergraph") -> None:
-        if self.vertices is not None and count > self.vertices:
-            raise BudgetExceeded(
-                f"{what} would have {count} vertices, over the budget "
-                f"of {self.vertices}", spent=count, budget=self.vertices)

@@ -29,7 +29,8 @@ from .core import (Edge, Hypergraph, SetSystem, Vertex, _canonical_cyclic,
                    canonical_edge, ekey, is_linear, is_strongly_induced,
                    require_valid, shortest_edge_cycle, sort_vertices, vkey)
 from .copies import (Connector, Copy, CycleOfCopies, _adjacent_coverable,
-                     vertex_connector)
+                     _closing_walks, _copy_problems, _least_collapse,
+                     _Members)
 from .errors import InvalidArgument, PreconditionViolation
 
 # ---------------------------------------------------------------------------
@@ -617,55 +618,22 @@ def derive(source: "Pretrain | PretrainCopySystem",
 
 
 @dataclass(frozen=True)
-class PretrainCopySystem:
+class PretrainCopySystem(_Members):
     """A base pretrain with subpretrain copies.
 
     Copies are plain vertex/edge sets; their wagon structure is the
     restriction of the base relation, which determines it completely.
     When ``extended`` is set (the default) the edge copies of the host
-    take part in big cycles alongside the listed copies.  Realness is a
-    matter of shape: a listed copy consisting of a single edge and
-    nothing else counts as an edge copy, not a real one.
+    take part in big cycles alongside the listed copies.
     """
 
     base: Pretrain
     copies: tuple[Copy, ...]
     extended: bool = True
 
-    def __post_init__(self):
-        cs = sorted(set(self.copies), key=lambda c: c.key)
-        object.__setattr__(self, "copies", tuple(cs))
-
     @property
     def host(self) -> Hypergraph:
         return self.base.hypergraph
-
-    @cached_property
-    def real_set(self) -> frozenset:
-        return frozenset(c for c in self.copies if not c.is_edge_shaped)
-
-    @cached_property
-    def edge_copies(self) -> tuple[Copy, ...]:
-        return tuple(Copy.of_edge(e) for e in self.host.edges)
-
-    @cached_property
-    def members(self) -> tuple[Copy, ...]:
-        if not self.extended:
-            return self.copies
-        seen: dict[Copy, None] = dict.fromkeys(self.copies)
-        for c in self.edge_copies:
-            seen.setdefault(c)
-        return tuple(sorted(seen, key=lambda c: c.key))
-
-    @cached_property
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
-
-    def is_real(self, c: Copy) -> bool:
-        return c in self.real_set
-
-    def is_member(self, c: Copy) -> bool:
-        return c in self.member_set
 
     @cached_property
     def _wagons_meeting(self) -> Mapping[Copy, frozenset]:
@@ -676,16 +644,7 @@ class PretrainCopySystem:
 def validate_pretrain_system(system: PretrainCopySystem) -> list[str]:
     """Structural problems of a system of pretrain copies."""
     from .core import validate
-    problems = validate(system.host)
-    H = system.host
-    for c in system.copies:
-        if not c.vertex_set <= H.vertex_set:
-            problems.append(
-                f"copy on {c.vertices!r} has vertices outside the host")
-        if not c.edge_family <= H.edge_family:
-            problems.append(
-                f"copy on {c.vertices!r} has edges outside the host")
-    return problems
+    return validate(system.host) + _copy_problems(system.host, system.copies)
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +858,9 @@ def _flank_fits(base: Pretrain, q: Connector, f: Edge) -> bool:
 
 
 def _piece_options(system: PretrainCopySystem, cycle: BigCycle,
-                   star: Copy, i: int) -> list[Piece]:
+                   star: Copy, i: int) -> list[tuple]:
+    """The pieces of ``star`` that may replace the copy at position i,
+    in canonical piece order, as options of the collapse backtracker."""
     base = system.base
     n = cycle.length
     left = cycle.connectors[(i - 1) % n]
@@ -919,86 +880,18 @@ def _piece_options(system: PretrainCopySystem, cycle: BigCycle,
                     if (f2 != f1 and right.value in f2
                             and base.wagon_of(f2) == w):
                         out.append(long_piece(f1, w, f2))
-    return sorted(out, key=lambda p: p.key)
+    return [(p, tuple(map(Copy.of_edge, p.edges)),
+             (wagon_connector(p.wagon),) if p.is_long else ())
+            for p in sorted(out, key=lambda p: p.key)]
 
 
 def _piece_family(system: PretrainCopySystem, cycle: BigCycle,
                   star: Copy) -> SupremeWitness | None:
     """Least family of pieces collapsing all non-star copies, or None."""
-    n = cycle.length
-    positions = [i for i in range(n) if cycle.copies[i] != star]
-    if not positions:
-        return None
-    options = []
-    for i in positions:
-        opts = _piece_options(system, cycle, star, i)
-        if not opts:
-            return None
-        options.append(opts)
-
-    base_wagons = {q.value for q in cycle.connectors if q.is_wagon}
-
-    def ends(i: int, chosen: dict[int, Piece]) -> tuple[Copy, Copy] | None:
-        """First and last copy at position i after the collapse, or None
-        when the position is replaced but not yet decided."""
-        if cycle.copies[i] == star:
-            return (star, star)
-        p = chosen.get(i)
-        if p is None:
-            return None
-        first = Copy.of_edge(p.edges[0])
-        last = Copy.of_edge(p.edges[-1])
-        return (first, last)
-
-    def conflicts(i: int, p: Piece, chosen: dict[int, Piece]) -> bool:
-        if p.is_long:
-            if p.wagon in base_wagons:
-                return True
-            if any(q.is_long and q.wagon == p.wagon
-                   for q in chosen.values()):
-                return True
-        left = ends((i - 1) % n, chosen)
-        if left is not None and left[1] == Copy.of_edge(p.edges[0]):
-            return True
-        right = ends((i + 1) % n, chosen)
-        if right is not None and right[0] == Copy.of_edge(p.edges[-1]):
-            return True
-        return False
-
-    chosen: dict[int, Piece] = {}
-
-    def pick(at: int) -> bool:
-        if at == len(positions):
-            return True
-        i = positions[at]
-        for p in options[at]:
-            if conflicts(i, p, chosen):
-                continue
-            chosen[i] = p
-            if pick(at + 1):
-                return True
-            del chosen[i]
-        return False
-
-    if not pick(0):
-        return None
-    steps: list[tuple[Copy, Connector]] = []
-    for i in range(n):
-        q = cycle.connectors[i]
-        if i not in chosen:
-            steps.append((cycle.copies[i], q))
-            continue
-        p = chosen[i]
-        if p.is_short:
-            steps.append((Copy.of_edge(p.edges[0]), q))
-        else:
-            steps.append((Copy.of_edge(p.edges[0]), wagon_connector(p.wagon)))
-            steps.append((Copy.of_edge(p.edges[1]), q))
-    replaced = BigCycle(tuple(steps))
-    # paranoia: the collapse must be a genuine big cycle
-    if check_big_cycle(system, replaced):
-        return None
-    return SupremeWitness(star, dict(chosen), replaced)
+    got = _least_collapse(cycle, star,
+                          lambda i: _piece_options(system, cycle, star, i),
+                          BigCycle, lambda c: check_big_cycle(system, c))
+    return None if got is None else SupremeWitness(star, *got)
 
 
 def supreme_copies(system: PretrainCopySystem,
@@ -1130,59 +1023,15 @@ def enumerate_big_cycles(system: PretrainCopySystem, g: int,
     max_len = 2 * g if max_length is None else max_length
     if g < 1 or max_len < 2:
         return ()
-    copies = system.members
     meeting = system._wagons_meeting
-    found: set[BigCycle] = set()
-    joint_cache: dict[tuple[int, int], tuple[Connector, ...]] = {}
-
-    def joints(i: int, j: int) -> tuple[Connector, ...]:
-        key = (i, j) if i <= j else (j, i)
-        got = joint_cache.get(key)
-        if got is None:
-            a, b = copies[key[0]], copies[key[1]]
-            qs = [vertex_connector(v)
-                  for v in sort_vertices(a.vertex_set & b.vertex_set)]
-            qs += [wagon_connector(w)
-                   for w in sorted(meeting[a] & meeting[b])]
-            got = tuple(qs)
-            joint_cache[key] = got
-        return got
-
-    def search(seq: list[tuple[int, Connector | None]]):
-        depth = len(seq)
-        first = seq[0][0]
-        last = seq[-1][0]
-        used = {q for _, q in seq if q is not None}
-        if depth >= 2 and last != first:
-            for q in joints(last, first):
-                if q in used:
-                    continue
-                steps = tuple((copies[i], qq) for i, qq in seq[:-1]) + (
-                    (copies[last], q),)
-                cyc = BigCycle(steps)
-                if cyc.order <= g and cyc not in found:
-                    if notion == "valid" \
-                            or not _acceptability_problems(system, cyc):
-                        found.add(cyc)
-        if depth == max_len:
-            return
-        for j in range(first, len(copies)):
-            if j == last:
-                continue
-            for q in joints(last, j):
-                if q in used:
-                    continue
-                seq[-1] = (last, q)
-                seq.append((j, None))
-                search(seq)
-                seq.pop()
-                seq[-1] = (last, None)
-
-    for start in range(len(copies)):
-        search([(start, None)])
-
-    return tuple(sorted(
-        found, key=lambda c: (c.h, tuple((cp.key, q.key) for cp, q in c.steps))))
+    return _closing_walks(
+        system.members,
+        lambda a, b: [wagon_connector(w)
+                      for w in sorted(meeting[a] & meeting[b])],
+        BigCycle,
+        lambda cyc: cyc.order <= g and (
+            notion == "valid" or not _acceptability_problems(system, cyc)),
+        max_len)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from typing import Any, Iterable, Sequence
 
 from .core import (Edge, Hypergraph, PartiteStructure, Vertex, is_linear,
                    require_valid, sort_vertices)
-from .copies import Copy
+from .copies import Copy, _copy_problems, _Members
 from .errors import InvalidArgument, PreconditionViolation
 from .pretrain import (FrakGirthFailure, Pretrain, PretrainCopySystem, Wagon,
                        _canonical_wagon_cycle, contraction_map,
@@ -605,7 +605,7 @@ def disjoint_union(items: "Iterable[Quasitrain | Train]"):
 
 
 @dataclass(frozen=True)
-class QuasitrainCopySystem:
+class QuasitrainCopySystem(_Members):
     """A base quasitrain with subquasitrain copies.
 
     Copies are plain vertex/edge sets; every level of a copy's chain is
@@ -617,10 +617,6 @@ class QuasitrainCopySystem:
     base: Quasitrain
     copies: tuple[Copy, ...]
     extended: bool = True
-
-    def __post_init__(self):
-        cs = sorted(set(self.copies), key=lambda c: c.key)
-        object.__setattr__(self, "copies", tuple(cs))
 
     @property
     def host(self) -> Hypergraph:
@@ -634,16 +630,8 @@ class QuasitrainCopySystem:
 
 def validate_quasitrain_system(system: QuasitrainCopySystem) -> list[str]:
     """Structural problems of a system of quasitrain copies."""
-    problems = validate_quasitrain(system.base)
-    H = system.host
-    for c in system.copies:
-        if not c.vertex_set <= H.vertex_set:
-            problems.append(
-                f"copy on {c.vertices!r} has vertices outside the host")
-        if not c.edge_family <= H.edge_family:
-            problems.append(
-                f"copy on {c.vertices!r} has edges outside the host")
-    return problems
+    return (validate_quasitrain(system.base)
+            + _copy_problems(system.host, system.copies))
 
 
 @dataclass(frozen=True)

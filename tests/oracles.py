@@ -153,7 +153,7 @@ def naive_is_cycle(system: CopySystem, steps) -> bool:
         return False
     copies = [c for c, _ in steps]
     connectors = [q for _, q in steps]
-    member = set(system.extended_copies)
+    member = set(system.members)
     if any(c not in member for c in copies):
         return False
     if any(copies[i] == copies[(i + 1) % n] for i in range(n)):

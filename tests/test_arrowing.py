@@ -139,6 +139,21 @@ def test_budget_exhaustion_raises():
         edge_arrows(triangle_system(6), 2, budget=Budget(nodes=3))
 
 
+def test_copy_outside_the_host_is_named():
+    stray = CopySystem(complete_graph(4),
+                       (Copy((0, 1, 9), ((0, 9), (0, 1))),))
+    for arrows in (edge_arrows, vertex_arrows):
+        with pytest.raises(InvalidArgument, match=r"\(0, 1, 9\)"):
+            arrows(stray, 2)
+
+
+def test_copy_with_a_foreign_vertex_is_named():
+    stray = CopySystem(complete_graph(4), (Copy((0, 1, 9), ((0, 1),)),))
+    with pytest.raises(InvalidArgument,
+                       match=r"\(0, 1, 9\) has vertices outside"):
+        vertex_arrows(stray, 2)
+
+
 # ---------------------------------------------------------------------------
 # words, lines, the line property
 

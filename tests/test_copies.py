@@ -17,7 +17,7 @@ from partite import (Copy, CopySystem, CycleOfCopies, Hypergraph,
                      InvalidArgument, PreconditionViolation,
                      check_copy_cycle, classify_cycle,
                      clean_intersection_violation,
-                     clean_intersections_linear_form, cycle_metrics,
+                     clean_intersections_linear_form,
                      edge_connector, enumerate_copy_cycles, find_master_copy,
                      girth_exceeds, girth_of_system_exceeds,
                      girth_of_system_witness, has_clean_intersections,
@@ -140,13 +140,13 @@ def test_invalid_cycles_are_reported():
 
 
 def test_mixed_cycle_metrics():
-    assert cycle_metrics(mixed_cycle()) == (2, 3)
+    assert mixed_cycle().h == (2, 3)
 
 
 def test_all_vertex_cycle_metrics():
-    assert cycle_metrics(tidy_cycle()) == (3, 3)
+    assert tidy_cycle().h == (3, 3)
     _, b_cycle = shared_edge_system()
-    assert cycle_metrics(b_cycle) == (3, 3)
+    assert b_cycle.h == (3, 3)
 
 
 def test_two_cycle_metrics():
@@ -154,12 +154,12 @@ def test_two_cycle_metrics():
         (F1, vertex_connector("x")),
         (F2, vertex_connector("a")),
     ))
-    assert cycle_metrics(two) == (2, 2)
+    assert two.h == (2, 2)
     mixed_two = CycleOfCopies((
         (F1, vertex_connector("x")),
         (F2, edge_connector(("x", "a"))),
     ))
-    assert cycle_metrics(mixed_two) == (1, 2)
+    assert mixed_two.h == (1, 2)
 
 
 # ---------------------------------------------------------------------------

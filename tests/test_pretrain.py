@@ -16,7 +16,8 @@ from partite import (BigCycle, Copy, CopySystem, Hypergraph, InvalidArgument,
                      PreconditionViolation, Pretrain, PretrainCopySystem,
                      are_order_isomorphic, check_big_cycle,
                      classify_big_cycle, contraction_map, derive,
-                     edge_connector, enumerate_big_cycles, find_supreme_copy,
+                     edge_connector, enumerate_big_cycles,
+                     enumerate_copy_cycles, find_supreme_copy,
                      frak_Girth_exceeds, frak_Girth_witness,
                      frak_girth_pretrain_exceeds, frak_girth_pretrain_witness,
                      girth_of_system_exceeds, has_supreme, is_extension,
@@ -1044,3 +1045,21 @@ def test_singleton_wagons_reduce_to_copy_girth(seed, g):
     sys = random_copy_system(rng, max_vertices=6, max_edges=4, max_copies=2)
     psys = PretrainCopySystem(Pretrain.singletons(sys.host), sys.copies)
     assert girth_of_system_exceeds(sys, g) == frak_Girth_exceeds(psys, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 2))
+def test_singleton_wagons_turn_copy_cycles_into_big_cycles(seed, g):
+    # one edge per wagon: the big cycles are the cycles of copies with
+    # every edge connector read as the connector of its wagon
+    rng = random.Random(seed)
+    sys = random_copy_system(rng)
+    P = Pretrain.singletons(sys.host)
+    lifted = [BigCycle(tuple(
+        (c, wagon_connector(P.wagon_of(q.value)) if q.is_edge else q)
+        for c, q in cyc.steps))
+        for cyc in enumerate_copy_cycles(sys, g, notion="all")]
+    big = enumerate_big_cycles(PretrainCopySystem(P, sys.copies), g,
+                               notion="valid")
+    assert len(lifted) == len(big)
+    assert set(lifted) == set(big)
