@@ -1,18 +1,18 @@
 """Exhaustive verifiers for the structures of the girth Ramsey theorem.
 
 The package implements the layered data model of Reiher and Rödl, *The
-girth Ramsey theorem* (hypergraphs and set systems, systems of copies,
-pretrains, quasitrains and trains), the extensions of pretrains and
-quasitrains (wagon assimilation, semidirect extension, derivation,
-disjoint unions), and exhaustive verifiers for the structural
-predicates (girth at several levels, tidiness, master and supreme
-copies, clean intersections, sequence girth, arrowing).
+girth Ramsey theorem* (hypergraphs, whose edges may have any sizes,
+systems of copies, pretrains, quasitrains and trains), the extensions
+of pretrains and quasitrains (wagon assimilation, semidirect extension,
+derivation, disjoint unions), and exhaustive verifiers for the
+structural predicates (girth at several levels, tidiness, master and
+supreme copies, clean intersections, sequence girth, arrowing).
 """
 
 from .errors import (Budget, BudgetExceeded, InvalidArgument, PartiteError,
                      PreconditionViolation)
-from .core import (Embedding, Hypergraph, PartiteStructure, SetSystem,
-                   are_isomorphic, as_set_system, canonical_cycle,
+from .core import (Embedding, Hypergraph, PartiteStructure,
+                   are_isomorphic, canonical_cycle,
                    check_cycle, complete_graph, complete_multipartite,
                    complete_uniform, enumerate_copies, find_isomorphism,
                    girth_exceeds, is_A_intersecting,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import Hypergraph, complete_multipartite, enumerate_copies
-from .copies import Copy, CopySystem, _copy_problems
+from .copies import Copy, CopySystem, _require_copies_in_host
 from .errors import Budget, BudgetExceeded, InvalidArgument
 
 DEFAULT_BUDGET = Budget()
@@ -169,12 +169,6 @@ def _decide_and_witness(n_items: int, groups: Sequence[tuple[int, ...]],
 # public oracles
 
 
-def _require_copies_in_host(system: CopySystem) -> None:
-    problems = _copy_problems(system.host, system.copies)
-    if problems:
-        raise InvalidArgument("; ".join(problems))
-
-
 def edge_arrows(system: CopySystem, r: int,
                 budget: Budget | None = None) -> ArrowResult:
     """Does every r-coloring of the host's edges leave a monochromatic copy?
@@ -281,7 +275,6 @@ def min_hj_exponent(F: Hypergraph, r: int, cap: int = 12,
             "the line property needs at least one edge in the pattern")
     if r < 1:
         raise InvalidArgument(f"number of colors must be positive, got {r}")
-    cap = min(cap, budget.exponent) if budget.exponent is not None else cap
     for n in range(1, cap + 1):
         ok, _, _ = hj_line_property(t, n, r, budget)
         if ok:

@@ -172,6 +172,12 @@ def _copy_problems(host: Hypergraph, copies: Iterable[Copy]) -> list[str]:
     return problems
 
 
+def _require_copies_in_host(system: _Members) -> None:
+    problems = _copy_problems(system.host, system.copies)
+    if problems:
+        raise InvalidArgument("; ".join(problems))
+
+
 def validate_system(system: CopySystem) -> list[str]:
     """Structural problems of a system of copies; empty list when fine."""
     from .core import are_isomorphic, validate
@@ -373,7 +379,7 @@ def check_copy_cycle(system: CopySystem, cycle: CycleOfCopies) -> list[str]:
     distinctness of consecutive copies, distinctness of the connectors,
     and that each connector joins its two neighbours (a vertex
     connector lies in both copies, an edge connector is an edge of
-    both).
+    both, and no other kind of connector joins copies).
     """
     problems: list[str] = []
     n = cycle.length
@@ -397,12 +403,16 @@ def check_copy_cycle(system: CopySystem, cycle: CycleOfCopies) -> list[str]:
                 problems.append(
                     f"vertex connector {q.value!r} at position {i} does "
                     f"not lie in both neighbouring copies")
-        else:
+        elif q.is_edge:
             fs = frozenset(q.value)
             if not (fs in a.edge_family and fs in b.edge_family):
                 problems.append(
                     f"edge connector {q.value!r} at position {i} is not "
                     f"an edge of both neighbouring copies")
+        else:
+            problems.append(
+                f"{q.kind} connector {q.value!r} at position {i} is "
+                f"neither a vertex nor an edge")
     return problems
 
 
@@ -752,9 +762,11 @@ def girth_of_system_witness(system: CopySystem, bound,
     h at most the bound has a master copy; the witness returned here is
     the first masterless cycle in (h, lexicographic) order.  Passing
     ``notion="semitidy"`` evaluates the equivalent semitidy criterion.
-    The notion is only defined over linear hosts.
+    The notion is only defined over linear hosts.  A copy that does not
+    lie in the host raises ``InvalidArgument``.
     """
     from .core import is_linear
+    _require_copies_in_host(system)
     if not is_linear(system.host):
         raise PreconditionViolation(
             "the girth of a system is defined for linear hosts only")

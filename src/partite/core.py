@@ -1,9 +1,10 @@
-"""Hypergraphs, set systems, and the basic structural predicates.
+"""Hypergraphs and the basic structural predicates.
 
 This module is the data layer of the package.  It provides immutable
-hypergraph and set-system values, partite structure, embeddings, girth
-computation by exhaustive cycle search, strong inducedness, and the
-brute-force copy enumerator that the construction layer builds on.
+hypergraph values, whose edges may have any sizes, partite structure,
+embeddings, girth computation by exhaustive cycle search, strong
+inducedness, and the brute-force copy enumerator that the construction
+layer builds on.
 
 Conventions
 -----------
@@ -13,7 +14,7 @@ fine.  Edges are stored as tuples sorted by that key, and the edge list
 itself is sorted, so two hypergraphs with the same vertex sequence and
 the same edge sets are equal as values.
 
-A *cycle* in a hypergraph or set system is an alternating sequence
+A *cycle* in a hypergraph is an alternating sequence
 
     e_1 v_1 e_2 v_2 ... e_n v_n        (n >= 2)
 
@@ -161,12 +162,16 @@ def make_partition(classes: Mapping[Any, Iterable[Vertex]],
 
 
 # ---------------------------------------------------------------------------
-# hypergraphs and set systems
+# hypergraphs
 
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """An immutable k-uniform hypergraph with optional extras.
+    """An immutable hypergraph with optional extras.
+
+    Edges may have any sizes of at least two, so one type carries both
+    uniform hypergraphs and families of vertex sets such as the vertex
+    sets of wagons.
 
     ``vertices`` is a tuple; when ``ordered`` is true its order *is* the
     linear order of the hypergraph and is significant for equality.
@@ -298,49 +303,6 @@ class Hypergraph:
                 and self.edge_family <= other.edge_family)
 
 
-@dataclass(frozen=True)
-class SetSystem:
-    """A set system: edges are arbitrary vertex sets of size at least two.
-
-    Girth is defined by the same alternating cycles as for hypergraphs;
-    the set-system form exists because several constructions pass through
-    non-uniform intermediate objects.
-    """
-
-    vertices: tuple
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self):
-        vs = tuple(self.vertices)
-        if len(set(vs)) != len(vs):
-            raise InvalidArgument("vertex list contains duplicates")
-        es = sorted({canonical_edge(e) for e in self.edges}, key=ekey)
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", tuple(es))
-
-    @cached_property
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.vertices)
-
-    @cached_property
-    def edge_sets(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset(e) for e in self.edges)
-
-    @cached_property
-    def incident_edges(self) -> Mapping[Vertex, tuple[int, ...]]:
-        out: dict[Vertex, list[int]] = {v: [] for v in self.vertices}
-        for i, e in enumerate(self.edges):
-            for v in e:
-                out[v].append(i)
-        return {v: tuple(ix) for v, ix in out.items()}
-
-
-def as_set_system(obj: Hypergraph | SetSystem) -> SetSystem:
-    if isinstance(obj, SetSystem):
-        return obj
-    return SetSystem(obj.vertices, obj.edges)
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -349,9 +311,8 @@ def validate(obj) -> list[str]:
     """Collect structural problems with ``obj``; an empty list means valid.
 
     Understands hypergraphs (uniformity, edge containment, partite
-    consistency) and set systems (edge sizes, containment).  Embeddings
-    and higher-level objects have their own validators next to their
-    types.
+    consistency).  Embeddings and higher-level objects have their own
+    validators next to their types.
     """
     problems: list[str] = []
     if isinstance(obj, Hypergraph):
@@ -366,14 +327,6 @@ def validate(obj) -> list[str]:
                 problems.append(f"edge {e!r} has fewer than two vertices")
         if obj.partite is not None:
             problems.extend(_validate_partition(obj))
-        return problems
-    if isinstance(obj, SetSystem):
-        vset = obj.vertex_set
-        for e in obj.edges:
-            if not vset.issuperset(e):
-                problems.append(f"member {e!r} leaves the vertex set")
-            if len(e) < 2:
-                problems.append(f"member {e!r} has fewer than two elements")
         return problems
     raise InvalidArgument(f"cannot validate a {type(obj).__name__}")
 
@@ -448,10 +401,9 @@ def canonical_cycle(pairs: Sequence[tuple[Edge, Vertex]]) -> tuple:
     return _canonical_cyclic(normalised, lambda p: (ekey(p[0]), vkey(p[1])))
 
 
-def check_cycle(obj: Hypergraph | SetSystem,
+def check_cycle(obj: Hypergraph,
                 pairs: Sequence[tuple[Iterable[Vertex], Vertex]]) -> list[str]:
     """Report violations of the cycle conditions for an alleged cycle."""
-    S = as_set_system(obj)
     problems: list[str] = []
     n = len(pairs)
     if n < 2:
@@ -459,7 +411,7 @@ def check_cycle(obj: Hypergraph | SetSystem,
         return problems
     edges = [frozenset(e) for e, _ in pairs]
     verts = [v for _, v in pairs]
-    fam = set(S.edge_sets)
+    fam = obj.edge_family
     for e in edges:
         if e not in fam:
             problems.append(f"{sort_vertices(e)!r} is not an edge")
@@ -475,8 +427,7 @@ def check_cycle(obj: Hypergraph | SetSystem,
     return problems
 
 
-def shortest_edge_cycle(obj: Hypergraph | SetSystem, bound: int,
-                        ) -> tuple | None:
+def shortest_edge_cycle(obj: Hypergraph, bound: int) -> tuple | None:
     """Find a shortest cycle of length at most ``bound``, or ``None``.
 
     Cycles are searched in increasing length starting at 2, so the result
@@ -488,9 +439,8 @@ def shortest_edge_cycle(obj: Hypergraph | SetSystem, bound: int,
     """
     if bound < 2:
         raise InvalidArgument(f"cycle length bound must be at least 2, got {bound}")
-    S = as_set_system(obj)
-    edge_sets = S.edge_sets
-    incident = S.incident_edges
+    edge_sets = obj.edge_sets
+    incident = obj.incident_edges
     for n in range(2, bound + 1):
         witness = _find_cycle_of_length(edge_sets, incident, n)
         if witness is not None:
@@ -537,7 +487,7 @@ def _find_cycle_of_length(edge_sets: Sequence[frozenset],
     return None
 
 
-def girth_exceeds(obj: Hypergraph | SetSystem, g: int) -> bool:
+def girth_exceeds(obj: Hypergraph, g: int) -> bool:
     """True when the girth of ``obj`` exceeds ``g`` (no n-cycle, 2<=n<=g).
 
     ``g`` below 2 is vacuously true for well-formed input; negative
@@ -550,9 +500,9 @@ def girth_exceeds(obj: Hypergraph | SetSystem, g: int) -> bool:
     return shortest_edge_cycle(obj, g) is None
 
 
-def is_linear(obj: Hypergraph | SetSystem) -> bool:
+def is_linear(obj: Hypergraph) -> bool:
     """No two distinct edges share more than one vertex."""
-    edge_sets = as_set_system(obj).edge_sets
+    edge_sets = obj.edge_sets
     # pairwise check through shared vertices; quadratic only in local degree
     incident: dict[Vertex, list[int]] = {}
     for i, e in enumerate(edge_sets):
@@ -612,14 +562,12 @@ class Embedding:
     """An injective vertex map carrying a pattern into a host.
 
     ``pairs`` lists (pattern vertex, host vertex) with pattern vertices
-    in canonical order.  ``kind`` records the mode the embedding was
-    found under, purely as bookkeeping.
+    in canonical order.
     """
 
     source: Hypergraph
     target: Hypergraph
     pairs: tuple[tuple[Vertex, Vertex], ...]
-    kind: str = "nni"
 
     @cached_property
     def mapping(self) -> Mapping[Vertex, Vertex]:
@@ -760,8 +708,7 @@ def enumerate_copies(H: Hypergraph, F: Hypergraph, mode: str = "induced",
     def emit(assignment: dict) -> bool:
         emb = Embedding(
             source=F, target=H,
-            pairs=tuple(sorted(assignment.items(), key=lambda p: vkey(p[0]))),
-            kind=mode)
+            pairs=tuple(sorted(assignment.items(), key=lambda p: vkey(p[0]))))
         if want_induced:
             img = emb.image_vertices
             img_edges = emb.image_edges

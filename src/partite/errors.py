@@ -9,12 +9,12 @@ exception class, all derived from ``PartiteError``:
   does not hold,
 * ``BudgetExceeded``      -- an exhaustive search ran out of its budget.
 
-``Budget`` holds the limits that the searches check.
+``Budget`` holds the node limit that the arrowing searches check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class PartiteError(Exception):
@@ -48,12 +48,12 @@ class Budget:
     """Machine-readable resource limits for the exhaustive searches.
 
     ``nodes`` bounds the number of explored partial colourings (the unit
-    used by the arrowing oracle) and ``exponent`` bounds the search of
-    :func:`partite.arrowing.min_hj_exponent`.  ``None`` means unlimited.
+    used by the arrowing oracle); ``None`` means unlimited.  The search
+    of :func:`partite.arrowing.min_hj_exponent` is bounded by its own
+    ``cap``.
     """
 
     nodes: int | None = 1 << 24
-    exponent: int | None = 12
 
     def check_nodes(self, spent: int) -> None:
         if self.nodes is not None and spent > self.nodes:

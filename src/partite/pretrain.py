@@ -25,12 +25,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
 
-from .core import (Edge, Hypergraph, SetSystem, Vertex, _canonical_cyclic,
+from .core import (Edge, Hypergraph, Vertex, _canonical_cyclic,
                    canonical_edge, ekey, is_linear, is_strongly_induced,
                    require_valid, shortest_edge_cycle, sort_vertices, vkey)
 from .copies import (Connector, Copy, CycleOfCopies, _adjacent_coverable,
                      _closing_walks, _copy_problems, _least_collapse,
-                     _Members)
+                     _Members, _require_copies_in_host)
 from .errors import InvalidArgument, PreconditionViolation
 
 # ---------------------------------------------------------------------------
@@ -241,14 +241,36 @@ def _canonical_wagon_cycle(pairs: Sequence[tuple[int, Vertex]]) -> tuple:
     return _canonical_cyclic(list(pairs), lambda p: (p[0], vkey(p[1])))
 
 
+def _wagon_cycle(vertices: Sequence[Vertex], wagons: Iterable[Wagon],
+                 g: int) -> tuple | None:
+    """A shortest cycle of length at most ``g >= 2`` in the hypergraph on
+    ``vertices`` whose edges are the vertex sets of ``wagons``, as
+    canonical (wagon id, vertex) pairs, or ``None``."""
+    # two wagons spanning the same vertex set are already a 2-cycle, but
+    # would collapse into one edge of the hypergraph of wagon vertex sets
+    by_set: dict[frozenset, int] = {}
+    for w in wagons:
+        prev = by_set.setdefault(w.vertex_set, w.id)
+        if prev != w.id:
+            a, b = sort_vertices(w.vertex_set)[:2]
+            return _canonical_wagon_cycle([(prev, a), (w.id, b)])
+    if len(by_set) < 2:
+        return None
+    found = shortest_edge_cycle(Hypergraph(vertices, tuple(by_set)), g)
+    if found is None:
+        return None
+    return _canonical_wagon_cycle(
+        [(by_set[frozenset(e)], v) for e, v in found])
+
+
 def frak_girth_pretrain_witness(P: Pretrain, g: int) -> tuple | None:
     """A shortest wagon cycle of length at most ``g``, or ``None``.
 
-    Cycles live in the set system whose edges are the wagon vertex sets:
-    a cyclic sequence of distinct wagons joined by distinct vertices.
-    The wagon girth of the pretrain exceeds ``g`` exactly when there is
-    no such cycle; witnesses are canonical tuples of (wagon id, vertex)
-    pairs.  Defined over linear hypergraphs only.
+    Cycles live in the hypergraph whose edges are the wagon vertex
+    sets, of whatever sizes: a cyclic sequence of distinct wagons joined
+    by distinct vertices.  The wagon girth of the pretrain exceeds ``g``
+    exactly when there is no such cycle; witnesses are canonical tuples
+    of (wagon id, vertex) pairs.  Defined over linear hypergraphs only.
     """
     if not is_linear(P.hypergraph):
         raise PreconditionViolation(
@@ -258,23 +280,7 @@ def frak_girth_pretrain_witness(P: Pretrain, g: int) -> tuple | None:
         raise InvalidArgument(f"girth bound must be nonnegative, got {g}")
     if g < 2:
         return None
-    # two wagons spanning the same vertex set are already a 2-cycle, but
-    # would collapse into one edge of the derived set system
-    by_set: dict[frozenset, int] = {}
-    for w in P.wagons:
-        prev = by_set.setdefault(w.vertex_set, w.id)
-        if prev != w.id:
-            a, b = sort_vertices(w.vertex_set)[:2]
-            return _canonical_wagon_cycle([(prev, a), (w.id, b)])
-    if len(by_set) < 2:
-        return None
-    system = SetSystem(P.hypergraph.vertices,
-                       tuple(sort_vertices(s) for s in by_set))
-    found = shortest_edge_cycle(system, g)
-    if found is None:
-        return None
-    return _canonical_wagon_cycle(
-        [(by_set[frozenset(e)], v) for e, v in found])
+    return _wagon_cycle(P.hypergraph.vertices, P.wagons, g)
 
 
 def frak_girth_pretrain_exceeds(P: Pretrain, g: int) -> bool:
@@ -1056,8 +1062,10 @@ def frak_Girth_witness(system: PretrainCopySystem,
     Linearity of the base pretrain is part of the predicate, so a
     non-linear base fails immediately; otherwise all acceptable big
     cycles of order at most ``g`` (length at most ``2g``) must have a
-    supreme copy.
+    supreme copy.  A copy that does not lie in the host raises
+    ``InvalidArgument``.
     """
+    _require_copies_in_host(system)
     if g < 0:
         raise InvalidArgument(f"girth bound must be nonnegative, got {g}")
     base = system.base

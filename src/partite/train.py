@@ -32,10 +32,9 @@ from .core import (Edge, Hypergraph, PartiteStructure, Vertex, is_linear,
 from .copies import Copy, _copy_problems, _Members
 from .errors import InvalidArgument, PreconditionViolation
 from .pretrain import (FrakGirthFailure, Pretrain, PretrainCopySystem, Wagon,
-                       _canonical_wagon_cycle, contraction_map,
-                       frak_Girth_witness, frak_girth_pretrain_witness,
-                       is_extension, is_subpretrain, semidirect_extend,
-                       subpretrain, wagon_assimilation)
+                       _canonical_wagon_cycle, _wagon_cycle, contraction_map,
+                       frak_Girth_witness, is_extension, is_subpretrain,
+                       semidirect_extend, subpretrain, wagon_assimilation)
 
 # ---------------------------------------------------------------------------
 # sequences of girth bounds
@@ -393,13 +392,14 @@ def frak_girth_seq_witness(Q: "Quasitrain | Train",
     for mu in range(1, Q.height + 1):
         low = Q.level(mu - 1)
         for W in Q.level(mu).wagons:
-            R = subpretrain(low, W.vertices, W.edges)
-            back = {r.id: low.wagon_of(r.edges[0]) for r in R.wagons}
-            if not is_linear(R.hypergraph):
+            # the chain is nested, so these lower wagons lie inside W
+            lows = [low.wagon(i)
+                    for i in dict.fromkeys(map(low.wagon_of, W.edges))]
+            if not is_linear(W.as_hypergraph()):
                 # scanning bottom-up guarantees the offending pair of
                 # edges straddles two lower wagons
                 pair = next(
-                    ((a, b) for a, b in itertools.combinations(R.wagons, 2)
+                    ((a, b) for a, b in itertools.combinations(lows, 2)
                      if len(a.vertex_set & b.vertex_set) >= 2), None)
                 if pair is None:
                     raise AssertionError(
@@ -408,11 +408,10 @@ def frak_girth_seq_witness(Q: "Quasitrain | Train",
                 a, b = pair
                 x, y = sort_vertices(a.vertex_set & b.vertex_set)[:2]
                 return SeqGirthFailure(mu, W.id, _canonical_wagon_cycle(
-                    [(back[a.id], x), (back[b.id], y)]))
-            got = frak_girth_pretrain_witness(R, gs[mu - 1])
+                    [(a.id, x), (b.id, y)]))
+            got = _wagon_cycle(W.vertices, lows, gs[mu - 1])
             if got is not None:
-                return SeqGirthFailure(mu, W.id, _canonical_wagon_cycle(
-                    [(back[w], v) for w, v in got]))
+                return SeqGirthFailure(mu, W.id, got)
     return None
 
 
@@ -651,28 +650,22 @@ class SeqFrakGirthFailure:
 
 
 def frak_Girth_seq_witness(system: QuasitrainCopySystem, bounds,
-                           start_level: int = 1,
                            ) -> SeqFrakGirthFailure | None:
     """First violated clause of the sequence girth of a system.
 
-    The bounds cover the levels from ``start_level`` to the height,
-    each read through the pretrain relation one level below; the check
-    always closes with the top relation against bound one.  Start
-    levels other than one and two never occur and are rejected.
+    The bounds cover the levels from one to the height, each read
+    through the pretrain relation one level below; the check always
+    closes with the top relation against bound one.
     """
-    if start_level not in (1, 2):
-        raise InvalidArgument(
-            f"the start level is one or two, got {start_level}")
     Q = system.base
     _require_quasitrain(Q)
     gs = girth_sequence(bounds)
     m = Q.height
-    if len(gs) != m - start_level + 1:
+    if len(gs) != m:
         raise InvalidArgument(
-            f"need bounds for levels {start_level}..{m}: expected "
-            f"{m - start_level + 1}, got {len(gs)}")
-    for mu in range(start_level, m + 1):
-        g = gs[mu - start_level]
+            f"need bounds for levels 1..{m}: expected {m}, got {len(gs)}")
+    for mu in range(1, m + 1):
+        g = gs[mu - 1]
         got = frak_Girth_witness(system.level_system(mu - 1), g)
         if got is not None:
             return SeqFrakGirthFailure(mu, g, got)
@@ -682,10 +675,9 @@ def frak_Girth_seq_witness(system: QuasitrainCopySystem, bounds,
     return None
 
 
-def frak_Girth_seq_exceeds(system: QuasitrainCopySystem, bounds,
-                           start_level: int = 1) -> bool:
+def frak_Girth_seq_exceeds(system: QuasitrainCopySystem, bounds) -> bool:
     """Every per-level clause and the closing clause hold."""
-    return frak_Girth_seq_witness(system, bounds, start_level) is None
+    return frak_Girth_seq_witness(system, bounds) is None
 
 
 # ---------------------------------------------------------------------------

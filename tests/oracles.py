@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from partite.core import Hypergraph, as_set_system, is_linear, vkey
+from partite.core import Hypergraph, is_linear, vkey
 from partite.copies import Copy, CopySystem, CycleOfCopies
 
 
@@ -26,8 +26,7 @@ def naive_has_cycle_of_length(obj, n: int) -> bool:
     by backtracking over the pairwise intersections, with all vertices
     distinct.
     """
-    S = as_set_system(obj)
-    edge_sets = S.edge_sets
+    edge_sets = obj.edge_sets
     m = len(edge_sets)
     if n < 2 or m < n:
         return False

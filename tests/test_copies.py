@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partite import (Copy, CopySystem, CycleOfCopies, Hypergraph,
+from partite import (Connector, Copy, CopySystem, CycleOfCopies, Hypergraph,
                      InvalidArgument, PreconditionViolation,
-                     check_copy_cycle, classify_cycle,
+                     check_copy_cycle, classify_cycle, complete_graph,
                      clean_intersection_violation,
                      clean_intersections_linear_form,
                      edge_connector, enumerate_copy_cycles, find_master_copy,
@@ -262,6 +262,19 @@ def test_find_master_rejects_invalid_cycles():
         find_master_copy(system, bad)
 
 
+def test_wagon_connector_in_a_cycle_of_copies_is_reported():
+    system = CopySystem(complete_graph(3), ())
+    bad = CycleOfCopies((
+        (Copy.of_edge((0, 1)), vertex_connector(1)),
+        (Copy.of_edge((1, 2)), Connector("wagon", 0)),
+    ))
+    assert check_copy_cycle(system, bad) == [
+        "wagon connector 0 at position 1 is neither a vertex nor an edge"]
+    assert classify_cycle(system, bad).status == "invalid"
+    with pytest.raises(InvalidArgument, match="wagon connector"):
+        find_master_copy(system, bad)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_masters_match_brute_force(seed):
@@ -289,6 +302,13 @@ def test_edge_copy_systems_mirror_hypergraph_girth():
         assert not girth_of_system_exceeds(system, (n, n))
         wit = girth_of_system_witness(system, (n, n))
         assert wit is not None and wit.length == n
+
+
+def test_system_girth_names_a_copy_outside_the_host():
+    stray = CopySystem(complete_graph(4), (
+        Copy((0, 1, 9), ((0, 9), (0, 1))), Copy((1, 2, 9), ((1, 9), (1, 2)))))
+    with pytest.raises(InvalidArgument, match=r"\(0, 1, 9\)"):
+        girth_of_system_witness(stray, 2)
 
 
 def test_star_system_girth_thresholds():

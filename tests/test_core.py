@@ -15,7 +15,8 @@ from partite import (Hypergraph, InvalidArgument, PreconditionViolation,
                      is_strongly_induced, make_partition, shortest_edge_cycle,
                      validate)
 from oracles import (naive_girth_exceeds, naive_shortest_cycle_length,
-                     naive_strongly_induced_linear, random_linear_hypergraph)
+                     naive_strongly_induced_linear, random_hypergraph,
+                     random_linear_hypergraph)
 
 
 def cycle_graph(n):
@@ -145,6 +146,22 @@ def test_shortest_cycle_matches_oracle(seed):
     else:
         assert got is not None and len(got) == expected
         assert check_cycle(H, got) == []
+
+
+def test_shortest_cycle_matches_oracle_on_mixed_edge_sizes():
+    # non-linear hypergraphs with edges of sizes two and three
+    lengths = set()
+    for seed in range(300):
+        H = random_hypergraph(random.Random(seed), 7, 7)
+        got = shortest_edge_cycle(H, 5)
+        expected = naive_shortest_cycle_length(H, 5)
+        lengths.add(expected)
+        if expected is None:
+            assert got is None
+        else:
+            assert got is not None and len(got) == expected
+            assert check_cycle(H, got) == []
+    assert lengths == {2, 3, 4, None}
 
 
 @settings(max_examples=40, deadline=None)

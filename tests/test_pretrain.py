@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from partite import (BigCycle, Copy, CopySystem, Hypergraph, InvalidArgument,
                      PreconditionViolation, Pretrain, PretrainCopySystem,
                      are_order_isomorphic, check_big_cycle,
-                     classify_big_cycle, contraction_map, derive,
-                     edge_connector, enumerate_big_cycles,
+                     classify_big_cycle, complete_graph, contraction_map,
+                     derive, edge_connector, enumerate_big_cycles,
                      enumerate_copy_cycles, find_supreme_copy,
                      frak_Girth_exceeds, frak_Girth_witness,
                      frak_girth_pretrain_exceeds, frak_girth_pretrain_witness,
@@ -915,6 +915,13 @@ def test_girth_fails_on_nonlinear_input():
                                     (("a", "c"), ("b", "d"))))
     fail = frak_Girth_witness(PretrainCopySystem(P, ()), 2)
     assert fail is not None and fail.wagon_cycle is not None
+
+
+def test_girth_names_a_copy_outside_the_host():
+    stray = PretrainCopySystem(Pretrain.singletons(complete_graph(4)), (
+        Copy((0, 1, 9), ((0, 9), (0, 1))), Copy((1, 2, 9), ((1, 9), (1, 2)))))
+    with pytest.raises(InvalidArgument, match=r"\(0, 1, 9\)"):
+        frak_Girth_witness(stray, 2)
 
 
 def test_girth_bound_must_be_nonnegative():

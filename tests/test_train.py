@@ -1,5 +1,6 @@
 """Tests for quasitrains and trains: sequence girth, the lift of a
-level-one extension, and systems of quasitrain copies.
+level-one extension, disjoint unions, systems of quasitrain copies and
+the verifier of revisions.
 
 The random instances come from ``oracles``; the sequence girth and the
 lift are re-derived there straight from their definitions.
@@ -7,16 +8,23 @@ lift are re-derived there straight from their definitions.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partite import (Copy, Hypergraph, QuasitrainCopySystem,
-                     frak_girth_seq_exceeds, lift_one_extension,
-                     validate_pretrain_system, validate_quasitrain_system,
-                     validate_train, wagon_assimilation)
+from partite import (Copy, CopySystem, Hypergraph, InvalidArgument,
+                     QuasitrainCopySystem, SeqGirthFailure,
+                     disjoint_union_with_copies, frak_Girth_seq_exceeds,
+                     frak_Girth_seq_witness, frak_girth_pretrain_witness,
+                     frak_girth_seq_exceeds, frak_girth_seq_witness,
+                     girth_of_system_exceeds, lift_one_extension,
+                     subquasitrain, validate_pretrain_system,
+                     validate_quasitrain, validate_quasitrain_system,
+                     validate_train, verify_revision, wagon_assimilation)
 from partite.train import Quasitrain
 from oracles import (naive_lift_pairs, naive_seq_girth_exceeds,
-                     random_partite_train, random_quasitrain)
+                     random_copy_system, random_partite_train, random_pretrain,
+                     random_quasitrain)
 
 
 def ordered(Q):
@@ -71,6 +79,24 @@ def test_random_partite_trains_are_trains(seed, m):
 # the lift of a level-one extension
 
 
+def test_seq_girth_of_a_pretrain_is_its_wagon_girth():
+    # level one of a linear pretrain's quasitrain never fails bound two,
+    # and its top wagon holds every wagon of the pretrain
+    verdicts = set()
+    for seed in range(400):
+        P = random_pretrain(random.Random(seed))
+        Q = Quasitrain.of_pretrain(P)
+        for g in (2, 3, 4):
+            wagon_cycle = frak_girth_pretrain_witness(P, g)
+            got = frak_girth_seq_witness(Q, (2, g))
+            if wagon_cycle is None:
+                assert got is None
+            else:
+                assert got == SeqGirthFailure(2, 0, wagon_cycle)
+            verdicts.add(got is None)
+    assert verdicts == {True, False}
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_lift_of_assimilation_follows_the_rule(seed):
@@ -83,6 +109,37 @@ def test_lift_of_assimilation_follows_the_rule(seed):
         pairs = {(i, j) for i in range(len(row)) for j in range(len(row))
                  if row[i] == row[j]}
         assert pairs == naive_lift_pairs(Q, ext, mu)
+
+
+# ---------------------------------------------------------------------------
+# disjoint unions
+
+
+def test_disjoint_union_keeps_every_item_as_a_subquasitrain():
+    for seed in range(200):
+        rng = random.Random(seed)
+        height = rng.randint(1, 3)
+        items = [ordered(random_quasitrain(rng, height=height))
+                 for _ in range(rng.randint(1, 3))]
+        union, copies = disjoint_union_with_copies(items)
+        assert validate_quasitrain(union) == []
+        assert len(copies) == len(items)
+        for j, (item, c) in enumerate(zip(items, copies)):
+            sub = subquasitrain(union, c.vertices, c.edges)
+            back = sub.hypergraph.relabel({(j, v): v for v in
+                                           item.hypergraph.vertices})
+            assert Quasitrain(back, sub.chain) == item
+
+
+def test_disjoint_union_rejects_mixed_items_and_heights():
+    rng = random.Random(3)
+    Q2 = ordered(random_quasitrain(rng, height=2))
+    Q3 = ordered(random_quasitrain(rng, height=3))
+    T = random_partite_train(rng, m=2)
+    with pytest.raises(InvalidArgument, match="heights differ"):
+        disjoint_union_with_copies([Q2, Q3])
+    with pytest.raises(InvalidArgument, match="mixing trains"):
+        disjoint_union_with_copies([T, Q2])
 
 
 # ---------------------------------------------------------------------------
@@ -138,3 +195,69 @@ def test_level_system_of_a_stray_copy_is_reported_by_the_pretrain_check():
     assert validate_pretrain_system(stray.level_system(1)) == [
         "copy on (0, 9) has vertices outside the host",
         "copy on (0, 9) has edges outside the host"]
+
+
+def test_system_seq_girth_of_a_hypergraph_is_its_system_girth():
+    # over the height-one quasitrain of a hypergraph, level one reads the
+    # copies with one wagon per edge, which is the plain system girth
+    levels = set()
+    for seed in range(150):
+        system = random_copy_system(random.Random(seed), max_vertices=4,
+                                    max_edges=4, max_copies=2)
+        Q = Quasitrain.of_hypergraph(system.host)
+        seq_system = QuasitrainCopySystem(Q, system.copies)
+        for g in (2, 3):
+            got = frak_Girth_seq_witness(seq_system, (g,))
+            plain = girth_of_system_exceeds(
+                CopySystem(system.host, system.copies), g)
+            assert (got is not None and got.level == 1) == (not plain)
+            levels.add(None if got is None else got.level)
+    assert levels == {None, 1}
+
+
+def test_system_seq_girth_needs_one_bound_per_level():
+    system = QuasitrainCopySystem(path_quasitrain(), ())
+    for bounds in ((2,), (2, 2, 2)):
+        with pytest.raises(InvalidArgument):
+            frak_Girth_seq_witness(system, bounds)
+        with pytest.raises(InvalidArgument):
+            frak_Girth_seq_exceeds(system, bounds)
+
+
+# ---------------------------------------------------------------------------
+# revisions of partite-uniform trains
+
+
+def test_trivial_revision_reduces_to_sequence_girth():
+    # one parameter entry taken from the train itself splices no level,
+    # so only the girth clause can fail
+    verdicts = set()
+    for seed in range(60):
+        T = random_partite_train(random.Random(seed), m=2)
+        for g in (2, 3):
+            for b in (2, 3):
+                got = verify_revision(T, T, [T.parameter[0]], g, (b,))
+                expected = frak_girth_seq_exceeds(T, (g, b))
+                assert bool(got) == expected
+                verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_revision_reports_both_parameter_clauses():
+    T = random_partite_train(random.Random(0), m=2)
+    report = verify_revision(T, T, [frozenset({0, 1})], 2, (2,))
+    assert not report
+    param = [p for p in report.problems
+             if p.startswith("parameter clause fails")]
+    assert len(param) == 2
+    assert any("holds 2 indices" in p for p in param)
+    assert any("reaches outside" in p for p in param)
+
+
+def test_revision_keeps_the_hypergraph():
+    rng = random.Random(1)
+    T = random_partite_train(rng, m=2)
+    other = random_partite_train(rng, m=2)
+    assert other.hypergraph != T.hypergraph
+    with pytest.raises(InvalidArgument, match="keeps the underlying"):
+        verify_revision(T, other, [T.parameter[0]], 2, (2,))
