@@ -3,9 +3,10 @@
 The package implements the layered data model of Reiher and Rödl, *The
 girth Ramsey theorem* (hypergraphs, whose edges may have any sizes,
 systems of copies, pretrains, quasitrains and trains), the extensions
-of pretrains and quasitrains (wagon assimilation, semidirect extension,
-derivation, disjoint unions), and exhaustive verifiers for the
-structural predicates (girth at several levels, tidiness, master and
+of pretrains (wagon assimilation, semidirect extension, derivation),
+which reach quasitrains through the unique lift of a level-one
+extension (``lift_one_extension``), disjoint unions of quasitrains, and
+exhaustive verifiers for the structural predicates (girth at several levels, tidiness, master and
 supreme copies, clean intersections, sequence girth, arrowing).
 """
 
@@ -16,8 +17,7 @@ from .core import (Embedding, Hypergraph, PartiteStructure,
                    check_cycle, complete_graph, complete_multipartite,
                    complete_uniform, enumerate_copies, find_isomorphism,
                    girth_exceeds, is_A_intersecting,
-                   is_induced_subhypergraph, is_linear,
-                   is_partite_subhypergraph, is_strongly_induced,
+                   is_induced_subhypergraph, is_linear, is_strongly_induced,
                    make_partition, require_valid, shortest_edge_cycle,
                    validate, vkey)
 from .copies import (Connector, Copy, CopySystem, CycleClass, CycleOfCopies,
@@ -33,10 +33,10 @@ from .copies import (Connector, Copy, CopySystem, CycleClass, CycleOfCopies,
 from .arrowing import (ArrowResult, edge_arrows, enumerate_lines,
                        enumerate_words, hj_line_property, min_hj_exponent,
                        min_product_ramsey, vertex_arrows)
-from .pretrain import (Assimilation, BigCycle, BigCycleClass,
-                       FrakGirthFailure, Piece, Pretrain, PretrainCopySystem,
-                       SupremeWitness, Wagon, are_order_isomorphic,
-                       check_big_cycle, classify_big_cycle, contraction_map,
+from .pretrain import (Assimilation, BigCycle, FrakGirthFailure, Piece,
+                       Pretrain, PretrainCopySystem, SupremeWitness, Wagon,
+                       are_order_isomorphic, check_big_cycle,
+                       classify_big_cycle, contraction_map,
                        derive, enumerate_big_cycles, find_supreme_copy,
                        frak_Girth_exceeds, frak_Girth_witness,
                        frak_girth_pretrain_exceeds,
@@ -47,15 +47,14 @@ from .pretrain import (Assimilation, BigCycle, BigCycleClass,
                        semidirect_extend, short_piece, subpretrain,
                        supreme_copies, validate_pretrain_system,
                        wagon_assimilation, wagon_connector)
-from .train import (GirthSequence, Quasitrain, QuasitrainAssimilation,
-                    QuasitrainCopySystem, RevisionReport, SeqFrakGirthFailure,
-                    SeqGirthFailure, Train, assimilate_level_one,
-                    disjoint_union, disjoint_union_with_copies,
+from .train import (GirthSequence, Quasitrain, QuasitrainCopySystem,
+                    RevisionReport, SeqFrakGirthFailure, SeqGirthFailure,
+                    Train, disjoint_union_with_copies,
                     frak_Girth_seq_exceeds, frak_Girth_seq_witness,
                     frak_girth_seq_exceeds, frak_girth_seq_witness,
                     girth_sequence, is_subquasitrain, lift_one_extension,
-                    semidirect_extend_quasitrain, subquasitrain,
-                    validate_quasitrain, validate_quasitrain_system,
-                    validate_train, verify_revision)
+                    subquasitrain, validate_quasitrain,
+                    validate_quasitrain_system, validate_train,
+                    verify_revision)
 
 __version__ = "0.1.0"

@@ -300,8 +300,7 @@ def min_product_ramsey(f: Mapping, m: int, r: int, cap: int = 16,
     pattern = complete_multipartite(f, m)
     for M in range(m, cap + 1):
         host = complete_multipartite(f, M)
-        embeddings = enumerate_copies(host, pattern, mode="fpartite",
-                                      induced=False)
+        embeddings = enumerate_copies(host, pattern, mode="fpartite")
         system = CopySystem(host, tuple(
             Copy(emb.image_key[0], emb.image_key[1]) for emb in embeddings))
         if edge_arrows(system, r, budget).arrows:

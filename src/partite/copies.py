@@ -88,9 +88,8 @@ class Copy:
         """True when the copy has exactly one edge covering all vertices."""
         return len(self.edges) == 1 and len(self.edges[0]) == len(self.vertices)
 
-    def as_hypergraph(self, k: int | None = None,
-                      ordered: bool = False) -> Hypergraph:
-        return Hypergraph(self.vertices, self.edges, k=k, ordered=ordered)
+    def as_hypergraph(self, k: int | None = None) -> Hypergraph:
+        return Hypergraph(self.vertices, self.edges, k=k)
 
     def non_isolated(self, v: Vertex) -> bool:
         return any(v in e for e in self.edge_sets)
@@ -110,10 +109,9 @@ class _Members:
     quasitrain copies.
 
     ``copies`` is deduplicated and put in canonical order.  The members
-    are the listed copies together with every edge copy of the host,
-    unless the system has an ``extended`` flag and it is off.  Realness
-    is a matter of shape: a listed copy consisting of a single edge and
-    nothing else counts as an edge copy, not a real one.
+    are the listed copies together with every edge copy of the host.
+    Realness is a matter of shape: a listed copy consisting of a single
+    edge and nothing else counts as an edge copy, not a real one.
     """
 
     def __post_init__(self):
@@ -126,8 +124,6 @@ class _Members:
 
     @cached_property
     def members(self) -> tuple[Copy, ...]:
-        if not getattr(self, "extended", True):
-            return self.copies
         seen: dict[Copy, None] = dict.fromkeys(self.copies)
         for e in self.host.edges:
             seen.setdefault(Copy.of_edge(e))
@@ -480,12 +476,15 @@ def is_semitidy(system: CopySystem, cycle: CycleOfCopies) -> bool:
 
 @dataclass(frozen=True)
 class CycleClass:
-    """Outcome of :func:`classify_cycle`.
+    """Outcome of :func:`classify_cycle` and of
+    :func:`partite.pretrain.classify_big_cycle`.
 
-    ``status`` is one of ``"invalid"``, ``"untidy"``, ``"semitidy"``,
-    ``"tidy"``; for invalid cycles ``reasons`` lists the violated
-    clauses.  ``"semitidy"`` means semitidy but not tidy; tidiness
-    implies semitidiness, which the classifier double-checks.
+    For a cycle of copies ``status`` is one of ``"invalid"``,
+    ``"untidy"``, ``"semitidy"``, ``"tidy"``; ``"semitidy"`` means
+    semitidy but not tidy; tidiness implies semitidiness, which the
+    classifier double-checks.  For a big cycle it is ``"invalid"``,
+    ``"unacceptable"`` or ``"acceptable"``.  ``reasons`` names the
+    violated clauses of an invalid or unacceptable cycle.
     """
 
     status: str
@@ -670,7 +669,9 @@ def _closing_walks(members: Sequence[Copy], links, make, keep,
     between two members are their shared vertices followed by
     ``links(a, b)``.  A walk back to its start after at least two steps
     is made into a cycle by ``make``, which canonicalises it; ``keep``
-    is asked once for each cycle not found before.
+    is asked for every closing walk whose cycle has not been kept yet,
+    so a cycle that ``keep`` rejects is asked about again each time a
+    walk closes it.
     """
     found: set[CycleOfCopies] = set()
     joint_cache: dict[tuple[int, int], tuple[Connector, ...]] = {}

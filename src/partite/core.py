@@ -28,9 +28,9 @@ share more than one vertex.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import InvalidArgument, PreconditionViolation
 
@@ -242,35 +242,10 @@ class Hypergraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, e: Iterable[Vertex]) -> bool:
-        return frozenset(e) in self.edge_family
-
     def isolated_vertices(self) -> tuple:
         return tuple(v for v in self.vertices if not self.incident_edges[v])
 
     # -- derived hypergraphs ----------------------------------------------
-
-    def induced(self, X: Iterable[Vertex]) -> "Hypergraph":
-        """The subhypergraph induced on the vertex set ``X``.
-
-        Keeps the edges entirely inside ``X``; vertex order, orderedness
-        and (restricted) partite structure are inherited.
-        """
-        Xs = frozenset(X)
-        missing = Xs - self.vertex_set
-        if missing:
-            raise InvalidArgument(
-                f"induced set contains foreign vertices {sorted(missing, key=vkey)!r}")
-        vs = tuple(v for v in self.vertices if v in Xs)
-        es = tuple(e for e in self.edges if Xs.issuperset(e))
-        part = None
-        if self.partite is not None:
-            part = PartiteStructure(
-                self.partite.indices,
-                tuple(tuple(v for v in cls if v in Xs)
-                      for cls in self.partite.classes),
-                self.partite.sizes)
-        return Hypergraph(vs, es, k=self.k, ordered=self.ordered, partite=part)
 
     def restrict_edges(self, edges: Iterable[Iterable[Vertex]]) -> "Hypergraph":
         """Same vertices, only the given edges (which must be present)."""
@@ -573,9 +548,6 @@ class Embedding:
     def mapping(self) -> Mapping[Vertex, Vertex]:
         return dict(self.pairs)
 
-    def __call__(self, v: Vertex) -> Vertex:
-        return self.mapping[v]
-
     @cached_property
     def image_vertices(self) -> frozenset:
         return frozenset(w for _, w in self.pairs)
@@ -592,17 +564,12 @@ class Embedding:
                 tuple(sorted((tuple(sorted(e, key=vkey)) for e in self.image_edges),
                              key=ekey)))
 
-    def image_hypergraph(self) -> Hypergraph:
-        vs, es = self.image_key
-        return Hypergraph(vs, es, k=self.source.k)
 
-
-_MODES = ("nni", "induced", "partite", "fpartite")
+_MODES = ("nni", "induced", "fpartite")
 
 
 def enumerate_copies(H: Hypergraph, F: Hypergraph, mode: str = "induced",
-                     *, induced: bool | None = None,
-                     respect_order: bool = False,
+                     *, respect_order: bool = False,
                      distinct_images: bool = True,
                      limit: int | None = None) -> tuple[Embedding, ...]:
     """All copies of the pattern ``F`` inside the host ``H``.
@@ -615,13 +582,9 @@ def enumerate_copies(H: Hypergraph, F: Hypergraph, mode: str = "induced",
     ``induced``
         additionally every host edge inside the image is the image of a
         pattern edge,
-    ``partite``
-        both hypergraphs carry unit partite structure over the same
-        index set and the map preserves classes; not necessarily
-        induced unless ``induced=True``,
     ``fpartite``
-        class preserving for general partite structure (classwise sizes
-        agree); not necessarily induced unless ``induced=True``.
+        both hypergraphs carry partite structure over the same index
+        set and the map preserves classes; not necessarily induced.
 
     ``respect_order`` restricts to maps that are monotone with respect
     to the vertex orders of pattern and host.  ``distinct_images`` keeps
@@ -631,20 +594,16 @@ def enumerate_copies(H: Hypergraph, F: Hypergraph, mode: str = "induced",
     """
     if mode not in _MODES:
         raise InvalidArgument(f"unknown copy mode {mode!r}")
-    want_induced = (mode == "induced") if induced is None else induced
+    want_induced = mode == "induced"
     class_of_F: Mapping[Vertex, Any] | None = None
     class_of_H: Mapping[Vertex, Any] | None = None
-    if mode in ("partite", "fpartite"):
+    if mode == "fpartite":
         if F.partite is None or H.partite is None:
             raise PreconditionViolation(
                 f"mode {mode!r} needs partite structure on both hypergraphs")
         if set(F.partite.indices) != set(H.partite.indices):
             raise PreconditionViolation(
                 "pattern and host have different partite index sets")
-        if mode == "partite" and not (F.partite.uniform_unit
-                                      and H.partite.uniform_unit):
-            raise PreconditionViolation(
-                "mode 'partite' expects every edge to meet every class once")
         class_of_F = F.partite.index_of
         class_of_H = H.partite.index_of
     if respect_order and (len(F.vertices) > len(H.vertices)):
@@ -748,16 +707,6 @@ def are_isomorphic(F: Hypergraph, G: Hypergraph) -> bool:
 
 # ---------------------------------------------------------------------------
 # partite predicates
-
-
-def is_partite_subhypergraph(F: Hypergraph, H: Hypergraph) -> bool:
-    """Subhypergraph with classwise vertex containment."""
-    if F.partite is None or H.partite is None:
-        raise PreconditionViolation("both hypergraphs need partite structure")
-    if not F.is_subhypergraph_of(H):
-        return False
-    ioF, ioH = F.partite.index_of, H.partite.index_of
-    return all(ioF[v] == ioH[v] for v in F.vertices)
 
 
 def is_A_intersecting(F: Hypergraph, A: Iterable) -> bool:

@@ -28,9 +28,9 @@ from typing import Any, Iterable, Mapping, Sequence
 from .core import (Edge, Hypergraph, Vertex, _canonical_cyclic,
                    canonical_edge, ekey, is_linear, is_strongly_induced,
                    require_valid, shortest_edge_cycle, sort_vertices, vkey)
-from .copies import (Connector, Copy, CycleOfCopies, _adjacent_coverable,
-                     _closing_walks, _copy_problems, _least_collapse,
-                     _Members, _require_copies_in_host)
+from .copies import (Connector, Copy, CycleClass, CycleOfCopies,
+                     _adjacent_coverable, _closing_walks, _copy_problems,
+                     _least_collapse, _Members, _require_copies_in_host)
 from .errors import InvalidArgument, PreconditionViolation
 
 # ---------------------------------------------------------------------------
@@ -616,7 +616,7 @@ def derive(source: "Pretrain | PretrainCopySystem",
         Copy(M.vertices, tuple(e for e in H.edges
                                if cover[e] in M.edge_family))
         for M in source.copies)
-    return PretrainCopySystem(derived, copies, extended=source.extended)
+    return PretrainCopySystem(derived, copies)
 
 
 # ---------------------------------------------------------------------------
@@ -629,13 +629,12 @@ class PretrainCopySystem(_Members):
 
     Copies are plain vertex/edge sets; their wagon structure is the
     restriction of the base relation, which determines it completely.
-    When ``extended`` is set (the default) the edge copies of the host
-    take part in big cycles alongside the listed copies.
+    The edge copies of the host take part in big cycles alongside the
+    listed copies.
     """
 
     base: Pretrain
     copies: tuple[Copy, ...]
-    extended: bool = True
 
     @property
     def host(self) -> Hypergraph:
@@ -769,27 +768,15 @@ def _acceptability_problems(system: PretrainCopySystem,
     return problems
 
 
-@dataclass(frozen=True)
-class BigCycleClass:
-    """Outcome of :func:`classify_big_cycle`.
-
-    ``status`` is ``"invalid"``, ``"unacceptable"`` or ``"acceptable"``;
-    ``reasons`` names the violated clauses for the first two.
-    """
-
-    status: str
-    reasons: tuple[str, ...] = ()
-
-
 def classify_big_cycle(system: PretrainCopySystem,
-                       cycle: BigCycle) -> BigCycleClass:
+                       cycle: BigCycle) -> CycleClass:
     problems = check_big_cycle(system, cycle)
     if problems:
-        return BigCycleClass("invalid", tuple(problems))
+        return CycleClass("invalid", tuple(problems))
     problems = _acceptability_problems(system, cycle)
     if problems:
-        return BigCycleClass("unacceptable", tuple(problems))
-    return BigCycleClass("acceptable")
+        return CycleClass("unacceptable", tuple(problems))
+    return CycleClass("acceptable")
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ entries.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Sequence
@@ -34,7 +33,7 @@ from .errors import InvalidArgument, PreconditionViolation
 from .pretrain import (FrakGirthFailure, Pretrain, PretrainCopySystem, Wagon,
                        _canonical_wagon_cycle, _wagon_cycle, contraction_map,
                        frak_Girth_witness, is_extension, is_subpretrain,
-                       semidirect_extend, subpretrain, wagon_assimilation)
+                       subpretrain)
 
 # ---------------------------------------------------------------------------
 # sequences of girth bounds
@@ -44,8 +43,8 @@ from .pretrain import (FrakGirthFailure, Pretrain, PretrainCopySystem, Wagon,
 class GirthSequence:
     """A finite word of girth bounds, each at least two.
 
-    Words form a monoid under concatenation; the empty word is allowed
-    and has infimum infinity.  ``power`` builds the constant word of a
+    Words form a monoid under concatenation; the empty word is allowed.
+    ``power`` builds the constant word of a
     given length, the usual shorthand for "the same bound at every
     level".
     """
@@ -68,9 +67,6 @@ class GirthSequence:
     def concat(self, other) -> "GirthSequence":
         return GirthSequence(self.entries + girth_sequence(other).entries)
 
-    def __add__(self, other) -> "GirthSequence":
-        return self.concat(other)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -79,14 +75,6 @@ class GirthSequence:
 
     def __getitem__(self, i: int) -> int:
         return self.entries[i]
-
-    @property
-    def inf(self):
-        return min(self.entries) if self.entries else math.inf
-
-    @property
-    def is_nondecreasing(self) -> bool:
-        return all(a <= b for a, b in zip(self.entries, self.entries[1:]))
 
 
 def girth_sequence(obj) -> GirthSequence:
@@ -155,20 +143,6 @@ class Quasitrain:
         n = P.hypergraph.num_edges
         return cls(P.hypergraph, (tuple(range(n)), P.wagon_ids, (0,) * n))
 
-    def to_hypergraph(self) -> Hypergraph:
-        if self.height != 1:
-            raise InvalidArgument(
-                f"only height-one quasitrains read back as hypergraphs; "
-                f"this one has height {self.height}")
-        return self.hypergraph
-
-    def to_pretrain(self) -> Pretrain:
-        if self.height != 2:
-            raise InvalidArgument(
-                f"only height-two quasitrains read back as pretrains; "
-                f"this one has height {self.height}")
-        return self.level(1)
-
     # -- level views -----------------------------------------------------
 
     @property
@@ -185,9 +159,6 @@ class Quasitrain:
             raise InvalidArgument(
                 f"levels run from 0 to {self.height}, got {mu}")
         return self.levels[mu]
-
-    def wagons_at(self, mu: int) -> tuple[Wagon, ...]:
-        return self.level(mu).wagons
 
 
 def _classes(row: Sequence[int]) -> dict[int, list[int]]:
@@ -463,60 +434,21 @@ def lift_one_extension(F: "Quasitrain | Train", ext: Pretrain) -> Quasitrain:
     return out
 
 
-@dataclass(frozen=True)
-class QuasitrainAssimilation:
-    """Result of :func:`assimilate_level_one`.
-
-    The fields mirror :class:`partite.pretrain.Assimilation` one floor
-    up: the lifted quasitrain, the input sitting inside it, the common
-    shape of the grown level-one wagons, and the degenerate-case note.
-    """
-
-    quasitrain: Quasitrain
-    standard_copy: Copy
-    pattern: Hypergraph
-    note: str | None = None
-
-
-def assimilate_level_one(Q: "Quasitrain | Train") -> QuasitrainAssimilation:
-    """Assimilate the level-one wagons and lift the chain along.
-
-    Every level-one wagon grows into a copy of the ordered disjoint
-    union of all of them; levels above one come along through the
-    unique lift.
-    """
-    Q = _chain_of(Q)
-    _require_quasitrain(Q)
-    got = wagon_assimilation(Q.level(1))
-    return QuasitrainAssimilation(lift_one_extension(Q, got.pretrain),
-                                  got.standard_copy, got.pattern,
-                                  note=got.note)
-
-
-def semidirect_extend_quasitrain(Q: "Quasitrain | Train", X: Hypergraph,
-                                 W: Hypergraph) -> Quasitrain:
-    """Grow every level-one wagon into a copy of ``X`` around its ``W``.
-
-    The pretrain semidirect extension runs at level one and the chain
-    above comes along through the unique lift; see
-    :func:`partite.pretrain.semidirect_extend` for the pattern rules.
-    """
-    Q = _chain_of(Q)
-    _require_quasitrain(Q)
-    return lift_one_extension(Q, semidirect_extend(Q.level(1), X, W))
-
-
 # ---------------------------------------------------------------------------
 # disjoint unions
 
 
 def disjoint_union_with_copies(items: "Iterable[Quasitrain | Train]",
                                ) -> tuple:
-    """Fresh-vertex union plus the standard copy of every item.
+    """Fresh-vertex union of ordered quasitrains or trains of one
+    height, plus the standard copy of every item.
 
     Vertices of the j-th item turn into pairs (j, v), so the returned
-    copies record where each input landed; see :func:`disjoint_union`
-    for the union itself.
+    copies record where each input landed.  Edges from different items
+    are inequivalent below the top level and all equivalent at the top;
+    each item reappears as the subquasitrain on its relabelled vertices.
+    Trains must share their parameter, which the union keeps, and
+    partite structures merge classwise.
     """
     parts = tuple(items)
     if not parts:
@@ -588,17 +520,6 @@ def disjoint_union_with_copies(items: "Iterable[Quasitrain | Train]",
     return out, copies
 
 
-def disjoint_union(items: "Iterable[Quasitrain | Train]"):
-    """Fresh-vertex union of ordered quasitrains or trains of one height.
-
-    Edges from different items are inequivalent below the top level and
-    all equivalent at the top; each item reappears as the subquasitrain
-    on its relabelled vertices.  Trains must share their parameter,
-    which the union keeps, and partite structures merge classwise.
-    """
-    return disjoint_union_with_copies(items)[0]
-
-
 # ---------------------------------------------------------------------------
 # systems of quasitrain copies and their sequence girth
 
@@ -609,13 +530,12 @@ class QuasitrainCopySystem(_Members):
 
     Copies are plain vertex/edge sets; every level of a copy's chain is
     the restriction of the base level, which pins the subquasitrain
-    down completely.  ``extended`` adds the edge copies of the host as
-    members, exactly as for systems of pretrain copies.
+    down completely.  The edge copies of the host are members, exactly
+    as for systems of pretrain copies.
     """
 
     base: Quasitrain
     copies: tuple[Copy, ...]
-    extended: bool = True
 
     @property
     def host(self) -> Hypergraph:
@@ -623,8 +543,7 @@ class QuasitrainCopySystem(_Members):
 
     def level_system(self, mu: int) -> PretrainCopySystem:
         """The same copies over the pretrain read at one level."""
-        return PretrainCopySystem(self.base.level(mu), self.copies,
-                                  extended=self.extended)
+        return PretrainCopySystem(self.base.level(mu), self.copies)
 
 
 def validate_quasitrain_system(system: QuasitrainCopySystem) -> list[str]:

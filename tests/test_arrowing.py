@@ -20,7 +20,7 @@ from partite import (Budget, BudgetExceeded, Copy, CopySystem, Hypergraph,
                      vertex_arrows)
 from oracles import (naive_edge_arrows, naive_hj_line_property,
                      naive_min_hj_exponent, naive_vertex_arrows,
-                     random_copy_system, random_linear_hypergraph)
+                     random_copy_system)
 
 TWO_EDGE_MATCHING = Hypergraph(
     ("u", "v", "w", "z"), (("u", "v"), ("w", "z")), k=2)

@@ -19,10 +19,10 @@ from partite import (Connector, Copy, CopySystem, CycleOfCopies, Hypergraph,
                      clean_intersection_violation,
                      clean_intersections_linear_form,
                      edge_connector, enumerate_copy_cycles, find_master_copy,
-                     girth_exceeds, girth_of_system_exceeds,
-                     girth_of_system_witness, has_clean_intersections,
-                     has_master, master_copies, semitidy_equivalence_check,
-                     validate_system, vertex_connector)
+                     girth_of_system_exceeds, girth_of_system_witness,
+                     has_clean_intersections, has_master, master_copies,
+                     semitidy_equivalence_check, validate_system,
+                     vertex_connector)
 from oracles import naive_masters, random_copy_system
 
 
@@ -133,6 +133,25 @@ def test_invalid_cycles_are_reported():
         (F2, vertex_connector("x")),
     ))
     assert any("distinct" in p for p in check_copy_cycle(system, rep))
+
+
+def test_check_copy_cycle_names_foreign_repeated_and_unshared_members():
+    C4 = Hypergraph((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3), (0, 3)), k=2)
+    real = Copy((0, 1, 2), ((0, 1), (1, 2)))
+    system = CopySystem(C4, (real,))
+    cases = [
+        ([(Copy((0, 1, 2, 3), ((0, 1), (2, 3))), vertex_connector(0)),
+          (real, vertex_connector(1))],
+         "neither a real copy nor an edge copy"),
+        ([(real, vertex_connector(0)), (real, vertex_connector(2))],
+         "coincide"),
+        ([(real, edge_connector((2, 3))),
+          (Copy.of_edge((2, 3)), vertex_connector(2))],
+         "is not an edge of both"),
+    ]
+    for steps, message in cases:
+        problems = check_copy_cycle(system, CycleOfCopies(tuple(steps)))
+        assert any(message in p for p in problems), problems
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,20 @@ def test_short_bound_rejected():
         shortest_edge_cycle(cycle_graph(3), 1)
 
 
+C4 = Hypergraph((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3), (0, 3)), k=2)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([((0, 1), 1)], "length at least 2"),
+    ([((0, 2), 0), ((0, 1), 1)], "(0, 2) is not an edge"),
+    ([((0, 1), 1), ((0, 1), 0)], "edges of the cycle are not distinct"),
+    ([((0, 1), 1), ((1, 2), 1)], "vertices of the cycle are not distinct"),
+    ([((0, 1), 2), ((1, 2), 0)], "does not join"),
+])
+def test_check_cycle_names_each_broken_condition(pairs, message):
+    assert any(message in p for p in check_cycle(C4, pairs))
+
+
 def test_canonical_cycle_invariance():
     C = cycle_graph(5)
     w = shortest_edge_cycle(C, 5)
@@ -313,13 +327,13 @@ def test_uniform_copies_in_fano():
 def test_partite_mode_requires_structure():
     K3 = complete_graph(3)
     with pytest.raises(PreconditionViolation):
-        enumerate_copies(K3, K3, mode="partite")
+        enumerate_copies(K3, K3, mode="fpartite")
 
 
 def test_fpartite_copies_respect_classes():
     pattern = complete_multipartite({0: 1, 1: 1}, 1)
     host = complete_multipartite({0: 1, 1: 1}, 2)
-    copies = enumerate_copies(host, pattern, mode="fpartite", induced=False)
+    copies = enumerate_copies(host, pattern, mode="fpartite")
     # one vertex from each class on either side: 2*2 single edges
     assert len(copies) == 4
     for emb in copies:

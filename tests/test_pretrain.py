@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partite import (BigCycle, Copy, CopySystem, Hypergraph, InvalidArgument,
+from partite import (BigCycle, Copy, Hypergraph, InvalidArgument,
                      PreconditionViolation, Pretrain, PretrainCopySystem,
                      are_order_isomorphic, check_big_cycle,
                      classify_big_cycle, complete_graph, contraction_map,

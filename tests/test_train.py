@@ -6,21 +6,25 @@ The random instances come from ``oracles``; the sequence girth and the
 lift are re-derived there straight from their definitions.
 """
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partite import (Copy, CopySystem, Hypergraph, InvalidArgument,
-                     QuasitrainCopySystem, SeqGirthFailure,
+from partite import (Copy, CopySystem, Hypergraph, InvalidArgument, Pretrain,
+                     QuasitrainCopySystem, SeqFrakGirthFailure,
+                     SeqGirthFailure, Train, complete_multipartite,
                      disjoint_union_with_copies, frak_Girth_seq_exceeds,
-                     frak_Girth_seq_witness, frak_girth_pretrain_witness,
-                     frak_girth_seq_exceeds, frak_girth_seq_witness,
-                     girth_of_system_exceeds, lift_one_extension,
+                     frak_Girth_seq_witness, frak_Girth_witness,
+                     frak_girth_pretrain_witness, frak_girth_seq_exceeds,
+                     frak_girth_seq_witness, girth_of_system_exceeds,
+                     is_A_intersecting, is_subquasitrain, lift_one_extension,
                      subquasitrain, validate_pretrain_system,
                      validate_quasitrain, validate_quasitrain_system,
-                     validate_train, verify_revision, wagon_assimilation)
+                     validate_train, vertex_connector, verify_revision,
+                     wagon_assimilation, wagon_connector)
 from partite.train import Quasitrain
 from oracles import (naive_lift_pairs, naive_seq_girth_exceeds,
                      random_copy_system, random_partite_train, random_pretrain,
@@ -37,6 +41,84 @@ def path_quasitrain():
     """A three-edge path: the outer edges form one level-one wagon."""
     H = Hypergraph((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3)), k=2)
     return Quasitrain(H, ((0, 1, 2), (0, 1, 0), (0, 0, 0)))
+
+
+TRIPARTITE = complete_multipartite({0: 1, 1: 1, 2: 1}, 2)
+
+
+def random_tripartite(rng):
+    """A random edge subset of TRIPARTITE, with its partite structure."""
+    return TRIPARTITE.restrict_edges(
+        [e for e in TRIPARTITE.edges if rng.random() < 0.4])
+
+
+def random_indices(rng):
+    return frozenset(i for i in range(3) if rng.random() < 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the low-height correspondences and subquasitrains
+
+
+def test_train_of_a_hypergraph_is_valid_exactly_when_A_intersecting():
+    verdicts = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        H, A = random_tripartite(rng), random_indices(rng)
+        valid = validate_train(Train.of_hypergraph(H, A)) == []
+        assert valid == is_A_intersecting(H, A)
+        verdicts.add(valid)
+    assert verdicts == {True, False}
+
+
+def test_train_of_a_pretrain_confines_edges_and_wagons():
+    # edges of one wagon meet inside the classes of A1, distinct wagons
+    # inside those of A2
+    verdicts = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        H = random_tripartite(rng)
+        A1, A2 = random_indices(rng), random_indices(rng)
+        P = Pretrain(H, tuple(rng.randrange(3) for _ in H.edges))
+        T = Train.of_pretrain(P, A1, A2)
+        assert T.level(1) == P
+        wagons: dict[int, list[frozenset]] = {}
+        for e, w in zip(H.edge_sets, P.wagon_ids):
+            wagons.setdefault(w, []).append(e)
+        V1, V2 = H.partite.union_of(A1), H.partite.union_of(A2)
+        inside = all(e & f <= V1 for es in wagons.values()
+                     for e, f in itertools.combinations(es, 2))
+        between = all(
+            frozenset().union(*a) & frozenset().union(*b) <= V2
+            for a, b in itertools.combinations(wagons.values(), 2))
+        assert (validate_train(T) == []) == (inside and between)
+        verdicts.add((inside, between))
+    assert verdicts == {(True, True), (True, False), (False, True),
+                        (False, False)}
+
+
+def test_subquasitrains_of_lifts_restrictions_and_one_class_chains():
+    lift_verdicts, chain_verdicts = set(), set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        Q = ordered(random_quasitrain(rng))
+        lifted = lift_one_extension(
+            Q, wagon_assimilation(Q.level(1)).pretrain)
+        assert is_subquasitrain(Q, lifted)
+        same = set(lifted.hypergraph.edges) == set(Q.hypergraph.edges)
+        assert is_subquasitrain(lifted, Q) == same
+        lift_verdicts.add(same)
+        X = [v for v in Q.hypergraph.vertices if rng.random() < 0.6]
+        assert is_subquasitrain(subquasitrain(Q, X), Q)
+        n = Q.hypergraph.num_edges
+        one = Quasitrain(Q.hypergraph, (tuple(range(n)), (0,) * n, (0,) * n))
+        if Q.height == 2:
+            inside = is_subquasitrain(one, Q)
+            assert inside == (len(set(Q.chain[1])) <= 1)
+            chain_verdicts.add(inside)
+        else:
+            assert not is_subquasitrain(one, Q)
+    assert lift_verdicts == chain_verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -149,20 +231,16 @@ def test_disjoint_union_rejects_mixed_items_and_heights():
 def test_level_systems_read_the_copies_at_each_level():
     Q = path_quasitrain()
     outer = Copy((0, 1, 2, 3), ((0, 1), (2, 3)))
-    for extended in (True, False):
-        system = QuasitrainCopySystem(Q, (outer, outer), extended=extended)
-        assert system.copies == (outer,)
-        for mu in range(Q.height + 1):
-            level = system.level_system(mu)
-            assert level.base == Q.level(mu)
-            assert level.copies == system.copies
-            assert level.extended == extended
-            assert level.members == system.members
+    system = QuasitrainCopySystem(Q, (outer, outer))
+    assert system.copies == (outer,)
+    for mu in range(Q.height + 1):
+        level = system.level_system(mu)
+        assert level.base == Q.level(mu)
+        assert level.copies == system.copies
+        assert level.members == system.members
     assert QuasitrainCopySystem(Q, (outer,)).members == (
         Copy.of_edge((0, 1)), outer, Copy.of_edge((1, 2)),
         Copy.of_edge((2, 3)))
-    assert QuasitrainCopySystem(Q, (outer,), extended=False).members == (
-        outer,)
 
 
 def test_real_copies_of_quasitrain_systems_are_not_edge_shaped():
@@ -213,6 +291,22 @@ def test_system_seq_girth_of_a_hypergraph_is_its_system_girth():
             assert (got is not None and got.level == 1) == (not plain)
             levels.add(None if got is None else got.level)
     assert levels == {None, 1}
+
+
+def test_system_seq_girth_closes_with_the_top_relation():
+    # vertex 2 is isolated in the copy, so the copy meets the edge copy of
+    # (2, 3) at vertex 2 and, through the single top wagon, at (2, 3)
+    H = Hypergraph((0, 1, 2, 3), ((0, 1), (2, 3)), k=2)
+    copy = Copy((0, 1, 2), ((0, 1),))
+    system = QuasitrainCopySystem(Quasitrain.of_hypergraph(H), (copy,))
+    assert frak_Girth_witness(system.level_system(0), 2) is None
+    got = frak_Girth_seq_witness(system, (2,))
+    assert isinstance(got, SeqFrakGirthFailure)
+    assert (got.level, got.bound) == (2, 1)
+    assert got.failure.cycle.steps == (
+        (copy, vertex_connector(2)),
+        (Copy.of_edge((2, 3)), wagon_connector(0)))
+    assert not frak_Girth_seq_exceeds(system, (2,))
 
 
 def test_system_seq_girth_needs_one_bound_per_level():
