@@ -659,52 +659,82 @@ def _max_cycle_length(bound: tuple[int, int]) -> int:
 
 
 def _closing_walks(members: Sequence[Copy], links, make, keep,
+                   bound: tuple[int, int],
                    max_len: int) -> tuple[CycleOfCopies, ...]:
-    """Every cycle that a closing walk through ``members`` makes and
-    ``keep`` accepts, once each, ordered by h and then lexicographically.
+    """Every cycle with h at most ``bound`` that a closing walk through
+    ``members`` makes and ``keep`` accepts, once each, ordered by h and
+    then lexicographically.
 
     A walk starts at some member, goes on only to members of index at
     least the start, never stays at a member and never reuses a
     connector; it has at most ``max_len`` steps.  The connectors
     between two members are their shared vertices followed by
     ``links(a, b)``.  A walk back to its start after at least two steps
-    is made into a cycle by ``make``, which canonicalises it; ``keep``
-    is asked for every closing walk whose cycle has not been kept yet,
-    so a cycle that ``keep`` rejects is asked about again each time a
-    walk closes it.
-    """
-    found: set[CycleOfCopies] = set()
-    joint_cache: dict[tuple[int, int], tuple[Connector, ...]] = {}
+    closes a cycle.  Its h comes from the kinds of its connectors before
+    any cycle is built, and a walk over the bound is dropped.  Every
+    other cycle is built once by ``make``, which canonicalises it, and
+    ``keep`` is asked about it once, however many walks close it.
 
-    def joints(i: int, j: int) -> tuple[Connector, ...]:
+    A copy whose two flanking connectors are placed adds a fixed 1
+    (pure) or 1/2 (mixed) to the order, and the two copies at the ends
+    of the walk add at least 1/2 each.  A walk is not extended once
+    that lower bound exceeds the order g of ``bound = (g, n)``.
+    """
+    twice_g = 2 * bound[0]
+    ids: dict[Connector, int] = {}
+    connectors: list[Connector] = []
+    kinds: list[str] = []
+    joint_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def joints(i: int, j: int) -> tuple[int, ...]:
         key = (i, j) if i <= j else (j, i)
         got = joint_cache.get(key)
         if got is None:
             a, b = members[key[0]], members[key[1]]
-            qs = [vertex_connector(v)
-                  for v in sort_vertices(a.vertex_set & b.vertex_set)]
-            qs += links(a, b)
-            got = tuple(qs)
+            joined = [vertex_connector(v)
+                      for v in sort_vertices(a.vertex_set & b.vertex_set)]
+            joined += links(a, b)
+            for q in joined:
+                if q not in ids:
+                    ids[q] = len(connectors)
+                    connectors.append(q)
+                    kinds.append(q.kind)
+            got = tuple(ids[q] for q in joined)
             joint_cache[key] = got
         return got
 
-    def search(seq: list[tuple[int, Connector | None]]):
-        """seq holds (member index, connector after it); the last
-        connector is None until the cycle closes."""
-        depth = len(seq)
-        first = seq[0][0]
-        last = seq[-1][0]
-        used = {q for _, q in seq if q is not None}
+    def share(q: int, r: int) -> int:
+        """Twice the order a copy between connectors q and r adds."""
+        return 2 if kinds[q] == kinds[r] else 1
+
+    walk: list[int] = []     # member indices
+    qs: list[int] = []       # connector ids, one fewer than walk
+    used: set[int] = set()
+    seen: set[tuple] = set()
+    found: list[CycleOfCopies] = []
+
+    def search(fixed: int) -> None:
+        """``fixed`` is twice the order that the copies strictly inside
+        the walk add."""
+        depth = len(walk)
+        first, last = walk[0], walk[-1]
         if depth >= 2 and last != first:
             # try to close the cycle back to the first member
             for q in joints(last, first):
                 if q in used:
                     continue
-                steps = tuple((members[i], qq) for i, qq in seq[:-1]) + (
-                    (members[last], q),)
-                cyc = make(steps)
-                if cyc not in found and keep(cyc):
-                    found.add(cyc)
+                order = (fixed + share(q, qs[0]) + share(qs[-1], q)) // 2
+                if (order, depth) > bound:
+                    continue
+                steps = tuple(zip(walk, qs + [q]))
+                key = _canonical_cyclic(steps, lambda p: p)
+                if key in seen:
+                    continue
+                seen.add(key)
+                cyc = make(tuple((members[i], connectors[c])
+                                 for i, c in steps))
+                if keep(cyc):
+                    found.append(cyc)
         if depth == max_len:
             return
         for j in range(first, len(members)):
@@ -713,14 +743,21 @@ def _closing_walks(members: Sequence[Copy], links, make, keep,
             for q in joints(last, j):
                 if q in used:
                     continue
-                seq[-1] = (last, q)
-                seq.append((j, None))
-                search(seq)
-                seq.pop()
-                seq[-1] = (last, None)
+                now = fixed + (share(qs[-1], q) if qs else 0)
+                if now + 2 > twice_g:
+                    continue
+                walk.append(j)
+                qs.append(q)
+                used.add(q)
+                search(now)
+                used.remove(q)
+                qs.pop()
+                walk.pop()
 
     for start in range(len(members)):
-        search([(start, None)])
+        walk.append(start)
+        search(0)
+        walk.pop()
 
     return tuple(sorted(
         found, key=lambda c: (c.h, tuple((cp.key, q.key) for cp, q in c.steps))))
@@ -745,14 +782,12 @@ def enumerate_copy_cycles(system: CopySystem, bound,
     gb = normalize_girth_bound(bound)
 
     def keep(cyc: CycleOfCopies) -> bool:
-        if cyc.h > gb:
-            return False
         if notion == "tidy":
             return is_tidy(system, cyc)
         return notion == "all" or is_semitidy(system, cyc)
 
     return _closing_walks(system.members, _shared_edges, CycleOfCopies,
-                          keep, _max_cycle_length(gb))
+                          keep, gb, _max_cycle_length(gb))
 
 
 def girth_of_system_witness(system: CopySystem, bound,

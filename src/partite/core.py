@@ -362,12 +362,12 @@ def _canonical_cyclic(pairs: Sequence[tuple], key: Callable) -> tuple:
     reversed_pairs = [
         (stations[(n - j) % n], connectors[(n - j - 1) % n]) for j in range(n)
     ]
-    candidates = []
-    for seq in (list(pairs), reversed_pairs):
-        for r in range(n):
-            rotated = tuple(seq[(r + j) % n] for j in range(n))
-            candidates.append(rotated)
-    return min(candidates, key=lambda c: tuple(key(p) for p in c))
+    seqs = (list(pairs), reversed_pairs)
+    keys = [[key(p) for p in seq] for seq in seqs]
+    # ties go to the first candidate in the order listed, as with min
+    _, s, r = min((k[r:] + k[:r], s, r)
+                  for s, k in enumerate(keys) for r in range(n))
+    return tuple(seqs[s][r:] + seqs[s][:r])
 
 
 def canonical_cycle(pairs: Sequence[tuple[Edge, Vertex]]) -> tuple:

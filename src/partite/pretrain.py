@@ -1004,10 +1004,11 @@ def enumerate_big_cycles(system: PretrainCopySystem, g: int,
                          ) -> tuple[BigCycle, ...]:
     """All big cycles of order at most ``g`` satisfying the notion.
 
-    ``notion`` is ``"acceptable"`` or ``"valid"``.  The length is capped
-    at ``2 * g`` unless ``max_length`` overrides it; results are
-    deduplicated up to rotation and reflection and sorted by h, then
-    lexicographically.
+    ``notion`` is ``"acceptable"`` or ``"valid"``.  The length of a
+    cycle is at most twice its order, so it is at most ``2 * g``; a
+    smaller ``max_length`` caps it further, and a larger one changes
+    nothing.  Results are deduplicated up to rotation and reflection
+    and sorted by h, then lexicographically.
     """
     if notion not in ("acceptable", "valid"):
         raise InvalidArgument(f"unknown big-cycle notion {notion!r}")
@@ -1022,9 +1023,9 @@ def enumerate_big_cycles(system: PretrainCopySystem, g: int,
         lambda a, b: [wagon_connector(w)
                       for w in sorted(meeting[a] & meeting[b])],
         BigCycle,
-        lambda cyc: cyc.order <= g and (
-            notion == "valid" or not _acceptability_problems(system, cyc)),
-        max_len)
+        lambda cyc: (notion == "valid"
+                     or not _acceptability_problems(system, cyc)),
+        (g, 2 * g), max_len)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Independent brute-force oracles for cross-checking the library.
 
 Everything in this module is deliberately naive: plain enumeration over
-permutations and products, no pruning beyond what the definitions state.
+permutations and products, no pruning beyond what the definitions state
+(a sequence whose prefix already breaks a definition is not extended).
 The implementations share no code with the package so that agreement
 between the two is meaningful evidence.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 from partite.core import Hypergraph, is_linear, vkey
 from partite.copies import Copy, CopySystem, CycleOfCopies
@@ -170,6 +172,69 @@ def naive_is_cycle(system: CopySystem, steps) -> bool:
             if fs not in a.edge_family or fs not in b.edge_family:
                 return False
     return True
+
+
+def naive_closed_sequences(members, joiners, max_length: int):
+    """Every cyclic sequence of 2 to ``max_length`` (member, connector)
+    steps whose cyclically consecutive members differ, whose connectors
+    are distinct and whose every connector is one of ``joiners(a, b)``
+    for its two neighbours a and b.  Every rotation and reflection is
+    listed.  A prefix that already breaks one of these conditions is not
+    extended, since no such sequence has it as a prefix."""
+    m = len(members)
+    joins = {(a, b): joiners(members[a], members[b])
+             for a in range(m) for b in range(m) if a != b}
+
+    def extend(seq, qs):
+        if len(seq) >= 2 and seq[-1] != seq[0]:
+            for q in joins[seq[-1], seq[0]]:
+                if q not in qs:
+                    yield tuple((members[i], p)
+                                for i, p in zip(seq, qs + [q]))
+        if len(seq) == max_length:
+            return
+        for c in range(m):
+            if c == seq[-1]:
+                continue
+            for q in joins[seq[-1], c]:
+                if q not in qs:
+                    yield from extend(seq + [c], qs + [q])
+
+    for c in range(m):
+        yield from extend([c], [])
+
+
+def naive_h(steps) -> tuple:
+    """(order, length) of a cyclic sequence of steps: a copy adds 1 to
+    the order when the connectors on its two sides have the same kind
+    and 1/2 when they do not."""
+    kinds = [q.kind for _, q in steps]
+    twice = sum(2 if kinds[i - 1] == kinds[i] else 1
+                for i in range(len(kinds)))
+    return (Fraction(twice, 2), len(kinds))
+
+
+def naive_copy_cycles(system: CopySystem, bound):
+    """All cycles of copies with h at most ``bound`` (an integer g,
+    meaning (g, 2g), or a pair), by enumeration over member sequences
+    and connector choices.  A cycle's length is at most twice its
+    order, so no cycle longer than 2g is sought."""
+    from partite.copies import Connector
+
+    g, n = (bound, 2 * bound) if isinstance(bound, int) else bound
+
+    def joiners(a, b):
+        out = [Connector("vertex", v)
+               for v in sorted(a.vertex_set & b.vertex_set, key=vkey)]
+        out += [Connector("edge", tuple(e))
+                for e in a.edge_family & b.edge_family]
+        return out
+
+    found = set()
+    for steps in naive_closed_sequences(system.members, joiners, 2 * g):
+        if naive_is_cycle(system, steps) and naive_h(steps) <= (g, n):
+            found.add(CycleOfCopies(steps))
+    return found
 
 
 def naive_masters(system: CopySystem, cycle: CycleOfCopies):
@@ -341,7 +406,7 @@ def naive_is_acceptable(system, cycle) -> bool:
 
 def naive_big_cycles(system, max_order: int, max_length: int):
     """All big cycles up to the given order and length, by enumeration
-    over member sequences and connector products."""
+    over member sequences and connector choices."""
     from partite.copies import Connector
     from partite.pretrain import BigCycle
 
@@ -356,17 +421,10 @@ def naive_big_cycles(system, max_order: int, max_length: int):
         return out
 
     found = set()
-    for n in range(2, max_length + 1):
-        for seq in itertools.product(members, repeat=n):
-            pools = [joiners(seq[i], seq[(i + 1) % n]) for i in range(n)]
-            if any(not p for p in pools):
-                continue
-            for qs in itertools.product(*pools):
-                steps = tuple(zip(seq, qs))
-                if naive_is_big_cycle(system, steps):
-                    cyc = BigCycle(steps)
-                    if cyc.order <= max_order:
-                        found.add(cyc)
+    for steps in naive_closed_sequences(members, joiners, max_length):
+        if (naive_is_big_cycle(system, steps)
+                and naive_h(steps)[0] <= max_order):
+            found.add(BigCycle(steps))
     return found
 
 

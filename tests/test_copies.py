@@ -20,10 +20,11 @@ from partite import (Connector, Copy, CopySystem, CycleOfCopies, Hypergraph,
                      clean_intersections_linear_form,
                      edge_connector, enumerate_copy_cycles, find_master_copy,
                      girth_of_system_exceeds, girth_of_system_witness,
-                     has_clean_intersections, has_master, master_copies,
-                     semitidy_equivalence_check, validate_system,
-                     vertex_connector)
-from oracles import naive_masters, random_copy_system
+                     has_clean_intersections, has_master, is_tidy,
+                     master_copies, semitidy_equivalence_check,
+                     validate_system, vertex_connector)
+from partite import copies
+from oracles import naive_copy_cycles, naive_masters, random_copy_system
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +384,42 @@ def test_enumeration_is_sorted_and_deduplicated():
     for c in cycles:
         assert check_copy_cycle(system, c) == []
         assert c.h <= (3, 3)
+
+
+def test_copy_cycles_match_brute_force():
+    # hosts of at most 4 vertices and 3 edges with one copy already have
+    # cycles of order 3, where the walk is cut on its order most often
+    sizes, orders = set(), set()
+    for seed in range(80):
+        system = random_copy_system(random.Random(seed), max_vertices=4,
+                                    max_edges=3, max_copies=1)
+        for bound in (2, (2, 3), (3, 5)):
+            got = enumerate_copy_cycles(system, bound, notion="all")
+            assert len(set(got)) == len(got)
+            assert set(got) == naive_copy_cycles(system, bound)
+            assert enumerate_copy_cycles(system, bound, notion="tidy") == \
+                tuple(c for c in got if is_tidy(system, c))
+            sizes.add(len(got) > 0)
+            orders.update(c.order for c in got)
+    assert sizes == {False, True}
+    assert 3 in orders
+
+
+def test_keep_is_asked_once_per_cycle(monkeypatch):
+    calls = []
+
+    def counting(system, cycle):
+        calls.append(cycle)
+        return is_tidy(system, cycle)
+
+    monkeypatch.setattr(copies, "is_tidy", counting)
+    for seed in range(30):
+        system = random_copy_system(random.Random(seed))
+        for bound in (2, (2, 3)):
+            calls.clear()
+            enumerate_copy_cycles(system, bound, notion="tidy")
+            assert len(calls) == len(
+                enumerate_copy_cycles(system, bound, notion="all"))
 
 
 # ---------------------------------------------------------------------------

@@ -794,6 +794,20 @@ def test_big_cycle_enumeration_matches_brute_force(seed):
         c for c in brute if naive_is_acceptable(sys, c)}
 
 
+def test_big_cycles_of_order_three_match_brute_force():
+    sizes, orders = set(), set()
+    for seed in range(80):
+        sys = random_pretrain_system(random.Random(seed), max_vertices=4,
+                                     max_edges=3, max_copies=1)
+        got = enumerate_big_cycles(sys, 3, max_length=5, notion="valid")
+        assert len(set(got)) == len(got)
+        assert set(got) == naive_big_cycles(sys, 3, 5)
+        sizes.add(len(got) > 0)
+        orders.update(c.order for c in got)
+    assert sizes == {False, True}
+    assert 3 in orders
+
+
 # ---------------------------------------------------------------------------
 # supreme copies
 
