@@ -47,10 +47,6 @@ class ArrowResult:
     explored: int
 
 
-class _Found(Exception):
-    """A bad coloring was found; args[0] carries it."""
-
-
 class _Searcher:
     """One DFS pass over partial colorings in a fixed item order.
 
@@ -80,17 +76,72 @@ class _Searcher:
         self.size = [len(g) for g in groups]
         self.colored = [0] * len(groups)
         self.color = [_UNSET] * len(groups)
-        self.alive = len(groups)
         self.coloring = [_UNSET] * n_items
 
     def run(self) -> tuple[int, ...] | None:
-        """The least bad coloring along the order, or None."""
+        """The least bad coloring along the order, or None.
+
+        The walk keeps, for each depth down to the current one, the next
+        color to try there, the number of colors used above it and the
+        undo log of the color it holds now, as (group, previous color)
+        pairs.
+        """
         if any(not g for g in self.groups):
             return None
-        try:
-            self._step(0, 0)
-        except _Found as hit:
-            return hit.args[0]
+        alive = len(self.groups)
+        if alive == 0:
+            return self._fill_rest(0)
+        order, r, check_nodes = self.order, self.r, self.budget.check_nodes
+        member_of, size = self.member_of, self.size
+        color, colored, coloring = self.color, self.colored, self.coloring
+        n = self.n_items
+        next_color = [0] * n
+        used = [0] * n
+        logs: list = [None] * n
+        depth = 0 if n else -1
+        while depth >= 0:
+            item = order[depth]
+            log = logs[depth]
+            if log is not None:
+                for gi, prev in log:
+                    colored[gi] -= 1
+                    if color[gi] == _MIXED and prev != _MIXED:
+                        alive += 1
+                    color[gi] = prev
+                coloring[item] = _UNSET
+            c, u = next_color[depth], used[depth]
+            if c > u or c == r:  # c reached min(r, u + 1): depth done
+                depth -= 1
+                continue
+            next_color[depth] = c + 1
+            self.explored += 1
+            check_nodes(self.explored)
+            coloring[item] = c
+            logs[depth] = log = []
+            dead_end = False
+            for gi in member_of[item]:
+                prev = color[gi]
+                if prev == _MIXED:
+                    continue
+                log.append((gi, prev))
+                colored[gi] += 1
+                if prev == _UNSET:
+                    color[gi] = c
+                elif prev != c:
+                    color[gi] = _MIXED
+                    alive -= 1
+                if color[gi] != _MIXED and colored[gi] == size[gi]:
+                    dead_end = True
+            if dead_end:
+                continue
+            if alive == 0:
+                return self._fill_rest(depth + 1)
+            # alive > 0 at full depth means some group ended monochromatic
+            if depth + 1 < n:
+                depth += 1
+                next_color[depth] = 0
+                used[depth] = max(u, c + 1)
+                logs[depth] = None
         return None
 
     def _fill_rest(self, depth: int) -> tuple[int, ...]:
@@ -98,42 +149,6 @@ class _Searcher:
         for pos in range(depth, self.n_items):
             out[self.order[pos]] = 0
         return tuple(out)
-
-    def _step(self, depth: int, used: int) -> None:
-        if self.alive == 0:
-            raise _Found(self._fill_rest(depth))
-        if depth == self.n_items:
-            # alive > 0 at full depth means some group ended monochromatic
-            return
-        item = self.order[depth]
-        for c in range(min(self.r, used + 1)):
-            self.explored += 1
-            self.budget.check_nodes(self.explored)
-            self.coloring[item] = c
-            log: list[tuple[int, int]] = []
-            dead_end = False
-            for gi in self.member_of[item]:
-                prev = self.color[gi]
-                if prev == _MIXED:
-                    continue
-                log.append((gi, prev))
-                self.colored[gi] += 1
-                if prev == _UNSET:
-                    self.color[gi] = c
-                elif prev != c:
-                    self.color[gi] = _MIXED
-                    self.alive -= 1
-                if self.color[gi] != _MIXED \
-                        and self.colored[gi] == self.size[gi]:
-                    dead_end = True
-            if not dead_end:
-                self._step(depth + 1, max(used, c + 1))
-            for gi, prev in log:
-                self.colored[gi] -= 1
-                if self.color[gi] == _MIXED and prev != _MIXED:
-                    self.alive += 1
-                self.color[gi] = prev
-            self.coloring[item] = _UNSET
 
 
 def _decide_and_witness(n_items: int, groups: Sequence[tuple[int, ...]],

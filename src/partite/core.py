@@ -405,60 +405,83 @@ def check_cycle(obj: Hypergraph,
 def shortest_edge_cycle(obj: Hypergraph, bound: int) -> tuple | None:
     """Find a shortest cycle of length at most ``bound``, or ``None``.
 
-    Cycles are searched in increasing length starting at 2, so the result
-    is a shortest cycle of the hypergraph whenever one of length at most
-    ``bound`` exists.  The returned witness is in canonical form (lex
-    least over rotation and reflection); the search itself is a
-    deterministic depth-first walk anchored at the canonically least
-    edge of the cycle.
+    The witness is the lex-least canonical cycle of the shortest length:
+    among all cycles of the least length n <= ``bound``, each taken in
+    its canonical form (lex least over rotation and reflection under the
+    key (``ekey`` of the edge, ``vkey`` of the vertex)), the least one.
+    A faster search must keep this contract.
+
+    Cycles are sought by length, from 2 up.  For each length the search
+    is a depth-first walk on an explicit stack, so no bound is too long
+    for it.  It anchors the cycle at its least edge index and tries the
+    vertices of each edge in canonical order and the edges through a
+    vertex by index, so the first cycle it closes is the witness.
     """
     if bound < 2:
         raise InvalidArgument(f"cycle length bound must be at least 2, got {bound}")
-    edge_sets = obj.edge_sets
+    edges = obj.edges
     incident = obj.incident_edges
+    # the moves out of edge i, in trial order: (vertex left by, next edge)
+    moves = [[(v, f) for v in e for f in incident[v] if f != i]
+             for i, e in enumerate(edges)]
     for n in range(2, bound + 1):
-        witness = _find_cycle_of_length(edge_sets, incident, n)
+        witness = _find_cycle_of_length(obj, moves, n)
         if witness is not None:
-            pairs = [(tuple(sorted(edge_sets[ei], key=vkey)), v)
-                     for ei, v in witness]
-            return canonical_cycle(pairs)
+            return canonical_cycle([(edges[ei], v) for ei, v in witness])
     return None
 
 
-def _find_cycle_of_length(edge_sets: Sequence[frozenset],
-                          incident: Mapping[Vertex, tuple[int, ...]],
+def _find_cycle_of_length(obj: Hypergraph, moves: Sequence[list],
                           n: int) -> list | None:
-    """Depth-first search for an n-cycle; edges indexed, anchor minimal."""
-    m = len(edge_sets)
+    """The first n-cycle of a depth-first walk, as (edge index, vertex)
+    pairs, or ``None``.
 
-    def extend(anchor: int, path_edges: list[int],
-               path_verts: list[Vertex]) -> list | None:
-        depth = len(path_edges)
-        current = edge_sets[path_edges[-1]]
-        if depth == n:
-            # close the cycle: the last vertex joins edge n and edge 1
-            closing = current & edge_sets[anchor]
-            for v in sorted(closing, key=vkey):
-                if v not in path_verts:
-                    verts = path_verts + [v]
-                    return [(path_edges[i], verts[i]) for i in range(n)]
-            return None
-        for v in sorted(current, key=vkey):
-            if v in path_verts:
+    The walk starts at each edge in turn, the anchor, and only steps to
+    edges of larger index, so the anchor is the least edge index of the
+    cycle.  ``path`` holds the edges of the walk, ``verts[j]`` the vertex
+    that joins ``path[j]`` to ``path[j + 1]`` and ``tried[j]`` how many
+    of the moves out of ``path[j]`` were tried.  At length n the walk
+    closes on the first unused vertex of its last edge, in canonical
+    order, that lies in the anchor.
+    """
+    edges = obj.edges
+    edge_sets = obj.edge_sets
+    on_path = [False] * len(edges)
+    for anchor in range(len(edges)):
+        anchor_set = edge_sets[anchor]
+        path = [anchor]
+        verts: list[Vertex] = []
+        tried = [0]
+        used: set = set()
+        on_path[anchor] = True
+        while path:
+            e = path[-1]
+            if len(path) < n:
+                out = moves[e]
+                k = tried[-1]
+                while k < len(out):
+                    v, f = out[k]
+                    k += 1
+                    if f > anchor and not on_path[f] and v not in used:
+                        tried[-1] = k
+                        path.append(f)
+                        verts.append(v)
+                        tried.append(0)
+                        used.add(v)
+                        on_path[f] = True
+                        break
+                else:
+                    on_path[path.pop()] = False
+                    tried.pop()
+                    if verts:
+                        used.discard(verts.pop())
                 continue
-            for nxt in incident[v]:
-                # the anchor is the least edge index of the cycle
-                if nxt <= anchor or nxt in path_edges:
-                    continue
-                found = extend(anchor, path_edges + [nxt], path_verts + [v])
-                if found is not None:
-                    return found
-        return None
-
-    for anchor in range(m):
-        found = extend(anchor, [anchor], [])
-        if found is not None:
-            return found
+            for v in edges[e]:
+                if v in anchor_set and v not in used:
+                    return list(zip(path, verts + [v]))
+            on_path[path.pop()] = False
+            tried.pop()
+            used.discard(verts.pop())
     return None
 
 

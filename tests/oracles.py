@@ -52,6 +52,53 @@ def naive_has_cycle_of_length(obj, n: int) -> bool:
     return False
 
 
+def naive_least_cycle(obj, bound: int):
+    """The lex-least canonical cycle of the shortest length at most
+    ``bound``, as (edge, vertex) pairs with each edge a tuple sorted by
+    ``vkey``, or None.
+
+    Every cycle of the least length n that has one is enumerated as in
+    :func:`naive_has_cycle_of_length`.  Each is put in its least
+    rotation or reflection under (``vkey`` of the edge's vertices,
+    ``vkey`` of the vertex), and the least of these is returned.
+    """
+    edges = [tuple(sorted(e, key=vkey)) for e in obj.edge_sets]
+    m = len(edges)
+
+    def key(seq):
+        return [(tuple(vkey(u) for u in e), vkey(v)) for e, v in seq]
+
+    def least_form(order, verts):
+        n = len(order)
+        forward = [(edges[order[i]], verts[i]) for i in range(n)]
+        # e_n v_{n-1} e_{n-1} ... e_1 v_n walks the same cycle backwards
+        backward = [(edges[order[n - 1 - j]], verts[(n - 2 - j) % n])
+                    for j in range(n)]
+        forms = [seq[r:] + seq[:r] for seq in (forward, backward)
+                 for r in range(n)]
+        return tuple(min(forms, key=key))
+
+    def assign(order, i, verts, out):
+        n = len(order)
+        if i == n:
+            out.append(least_form(order, verts))
+            return
+        e_here = set(edges[order[i]])
+        e_next = set(edges[order[(i + 1) % n]])
+        for v in e_here & e_next:
+            if v not in verts:
+                assign(order, i + 1, verts + [v], out)
+
+    for n in range(2, min(bound, m) + 1):
+        found: list = []
+        for order in itertools.permutations(range(m), n):
+            if order[0] == min(order):
+                assign(order, 0, [], found)
+        if found:
+            return min(found, key=key)
+    return None
+
+
 def naive_shortest_cycle_length(obj, bound: int) -> int | None:
     for n in range(2, bound + 1):
         if naive_has_cycle_of_length(obj, n):
@@ -148,14 +195,17 @@ def naive_min_hj_exponent(t: int, r: int, cap: int) -> int | None:
 # cycles of copies: validity and masters, straight from the definitions
 
 
-def naive_is_cycle(system: CopySystem, steps) -> bool:
+def naive_is_cycle(system: CopySystem, steps, members=None) -> bool:
+    """Is ``steps`` a cycle of copies of ``system``?  ``members`` may
+    pass ``set(system.members)``, built once for many calls."""
     n = len(steps)
     if n < 2:
         return False
     copies = [c for c, _ in steps]
     connectors = [q for _, q in steps]
-    member = set(system.members)
-    if any(c not in member for c in copies):
+    if members is None:
+        members = set(system.members)
+    if any(c not in members for c in copies):
         return False
     if any(copies[i] == copies[(i + 1) % n] for i in range(n)):
         return False
@@ -231,8 +281,10 @@ def naive_copy_cycles(system: CopySystem, bound):
         return out
 
     found = set()
+    members = set(system.members)
     for steps in naive_closed_sequences(system.members, joiners, 2 * g):
-        if naive_is_cycle(system, steps) and naive_h(steps) <= (g, n):
+        if naive_is_cycle(system, steps, members) \
+                and naive_h(steps) <= (g, n):
             found.add(CycleOfCopies(steps))
     return found
 

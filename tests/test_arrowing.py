@@ -88,6 +88,18 @@ def test_vertex_arrowing_matches_chromatic_number():
     assert not ok and res3.witness == naive_witness
 
 
+def test_long_path_is_searched_without_recursion():
+    # one item per depth: 1500 edges are deeper than the recursion limit
+    m = 1500
+    P = Hypergraph(tuple(range(m + 1)), tuple((i, i + 1) for i in range(m)))
+    S = CopySystem(P, tuple(
+        Copy((i, i + 1, i + 2), ((i, i + 1), (i + 1, i + 2)))
+        for i in range(m - 1)))
+    res = edge_arrows(S, 2)
+    assert not res.arrows
+    assert res.witness == tuple(i % 2 for i in range(m))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(1, 3))
 def test_edge_arrowing_agrees_with_enumeration(seed, r):

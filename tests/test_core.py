@@ -2,6 +2,7 @@
 inducedness, copy enumeration."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,8 @@ from partite import (Hypergraph, InvalidArgument, PreconditionViolation,
                      is_induced_subhypergraph, is_linear,
                      is_strongly_induced, make_partition, shortest_edge_cycle,
                      validate)
-from oracles import (naive_girth_exceeds, naive_shortest_cycle_length,
+from oracles import (naive_girth_exceeds, naive_least_cycle,
+                     naive_shortest_cycle_length,
                      naive_strongly_induced_linear, random_hypergraph,
                      random_linear_hypergraph)
 
@@ -176,6 +178,50 @@ def test_shortest_cycle_matches_oracle_on_mixed_edge_sizes():
             assert got is not None and len(got) == expected
             assert check_cycle(H, got) == []
     assert lengths == {2, 3, 4, None}
+
+
+def _mixed_labels(H, rng):
+    """H with its vertices relabelled to ints, strings and tuples, and its
+    vertices and edges handed over in a shuffled order."""
+    kinds = (lambda v: v + 100, lambda v: f"v{v}", lambda v: (v % 2, str(v)))
+    label = {v: rng.choice(kinds)(v) for v in H.vertices}
+    vs = [label[v] for v in H.vertices]
+    es = [tuple(label[v] for v in e) for e in H.edges]
+    rng.shuffle(vs)
+    rng.shuffle(es)
+    return Hypergraph(tuple(vs), tuple(es))
+
+
+def test_witness_is_the_least_canonical_shortest_cycle():
+    lengths = set()
+    for seed in range(120):
+        rng = random.Random(seed)
+        for H, bound in ((random_linear_hypergraph(rng, 8, 7), 5),
+                         (random_hypergraph(rng, 7, 7), 4)):
+            for G in (H, _mixed_labels(H, rng)):
+                got = shortest_edge_cycle(G, bound)
+                assert got == naive_least_cycle(G, bound)
+                lengths.add(None if got is None else len(got))
+    assert {2, 3, 4, None} <= lengths
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_cycle_search_does_not_recurse():
+    # a walk of 150 edges would need 150 frames if each step took one
+    C = cycle_graph(150)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        w = shortest_edge_cycle(C, 150)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(w) == 150 and check_cycle(C, w) == []
 
 
 @settings(max_examples=40, deadline=None)
