@@ -31,8 +31,8 @@ from .copies import (Connector, Copy, CopySystem, CycleClass, CycleOfCopies,
                      normalize_girth_bound, semitidy_equivalence_check,
                      validate_system, vertex_connector)
 from .arrowing import (ArrowResult, edge_arrows, enumerate_lines,
-                       enumerate_words, hj_line_property, min_hj_exponent,
-                       min_product_ramsey, vertex_arrows)
+                       hj_line_property, min_hj_exponent, min_product_ramsey,
+                       vertex_arrows)
 from .pretrain import (Assimilation, BigCycle, FrakGirthFailure, Piece,
                        Pretrain, PretrainCopySystem, SupremeWitness, Wagon,
                        are_order_isomorphic, check_big_cycle,
@@ -47,13 +47,12 @@ from .pretrain import (Assimilation, BigCycle, FrakGirthFailure, Piece,
                        semidirect_extend, short_piece, subpretrain,
                        supreme_copies, validate_pretrain_system,
                        wagon_assimilation, wagon_connector)
-from .train import (GirthSequence, Quasitrain, QuasitrainCopySystem,
-                    RevisionReport, SeqFrakGirthFailure, SeqGirthFailure,
-                    Train, disjoint_union_with_copies,
-                    frak_Girth_seq_exceeds, frak_Girth_seq_witness,
-                    frak_girth_seq_exceeds, frak_girth_seq_witness,
-                    girth_sequence, is_subquasitrain, lift_one_extension,
-                    subquasitrain, validate_quasitrain,
+from .train import (Quasitrain, QuasitrainCopySystem, RevisionReport,
+                    SeqFrakGirthFailure, SeqGirthFailure, Train,
+                    disjoint_union_with_copies, frak_Girth_seq_exceeds,
+                    frak_Girth_seq_witness, frak_girth_seq_exceeds,
+                    frak_girth_seq_witness, is_subquasitrain,
+                    lift_one_extension, subquasitrain, validate_quasitrain,
                     validate_quasitrain_system, validate_train,
                     verify_revision)
 

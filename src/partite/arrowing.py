@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import Hypergraph, complete_multipartite, enumerate_copies
-from .copies import Copy, CopySystem, _require_copies_in_host
+from .copies import CopySystem, _require_copies_in_host, copy_of_embedding
 from .errors import Budget, BudgetExceeded, InvalidArgument
 
 DEFAULT_BUDGET = Budget()
@@ -47,8 +47,13 @@ class ArrowResult:
     explored: int
 
 
-class _Searcher:
+def _least_bad(n_items: int, groups: Sequence[tuple[int, ...]], r: int,
+               order: Sequence[int], budget: Budget, explored: int,
+               ) -> tuple[tuple[int, ...] | None, int]:
     """One DFS pass over partial colorings in a fixed item order.
+
+    Returns the least bad coloring along the order, or None, and the
+    count of explored partial colorings, carried on from ``explored``.
 
     Group state: ``color[g]`` is the common color seen so far, ``_UNSET``
     before the first colored item, ``_MIXED`` once two colors meet.
@@ -59,96 +64,77 @@ class _Searcher:
     already used; the lexicographically least bad coloring always has
     first occurrences of colors in increasing order (permuting colors
     preserves badness), so the cap never skips it.
+
+    The walk keeps, for each depth down to the current one, the next
+    color to try there, the number of colors used above it and the
+    undo log of the color it holds now, as (group, previous color)
+    pairs.
     """
-
-    def __init__(self, n_items: int, groups: Sequence[tuple[int, ...]],
-                 r: int, order: Sequence[int], budget: Budget, spent: int):
-        self.n_items = n_items
-        self.groups = groups
-        self.r = r
-        self.order = order
-        self.budget = budget
-        self.explored = spent
-        self.member_of: list[list[int]] = [[] for _ in range(n_items)]
-        for gi, g in enumerate(groups):
-            for item in g:
-                self.member_of[item].append(gi)
-        self.size = [len(g) for g in groups]
-        self.colored = [0] * len(groups)
-        self.color = [_UNSET] * len(groups)
-        self.coloring = [_UNSET] * n_items
-
-    def run(self) -> tuple[int, ...] | None:
-        """The least bad coloring along the order, or None.
-
-        The walk keeps, for each depth down to the current one, the next
-        color to try there, the number of colors used above it and the
-        undo log of the color it holds now, as (group, previous color)
-        pairs.
-        """
-        if any(not g for g in self.groups):
-            return None
-        alive = len(self.groups)
+    if any(not g for g in groups):
+        return None, explored
+    n = n_items
+    alive = len(groups)
+    if alive == 0:
+        return (0,) * n, explored
+    member_of: list[list[int]] = [[] for _ in range(n)]
+    for gi, g in enumerate(groups):
+        for item in g:
+            member_of[item].append(gi)
+    size = [len(g) for g in groups]
+    colored = [0] * len(groups)
+    color = [_UNSET] * len(groups)
+    coloring = [_UNSET] * n
+    check_nodes = budget.check_nodes
+    next_color = [0] * n
+    used = [0] * n
+    logs: list = [None] * n
+    depth = 0 if n else -1
+    while depth >= 0:
+        item = order[depth]
+        log = logs[depth]
+        if log is not None:
+            for gi, prev in log:
+                colored[gi] -= 1
+                if color[gi] == _MIXED and prev != _MIXED:
+                    alive += 1
+                color[gi] = prev
+            coloring[item] = _UNSET
+        c, u = next_color[depth], used[depth]
+        if c > u or c == r:  # c reached min(r, u + 1): depth done
+            depth -= 1
+            continue
+        next_color[depth] = c + 1
+        explored += 1
+        check_nodes(explored)
+        coloring[item] = c
+        logs[depth] = log = []
+        dead_end = False
+        for gi in member_of[item]:
+            prev = color[gi]
+            if prev == _MIXED:
+                continue
+            log.append((gi, prev))
+            colored[gi] += 1
+            if prev == _UNSET:
+                color[gi] = c
+            elif prev != c:
+                color[gi] = _MIXED
+                alive -= 1
+            if color[gi] != _MIXED and colored[gi] == size[gi]:
+                dead_end = True
+        if dead_end:
+            continue
         if alive == 0:
-            return self._fill_rest(0)
-        order, r, check_nodes = self.order, self.r, self.budget.check_nodes
-        member_of, size = self.member_of, self.size
-        color, colored, coloring = self.color, self.colored, self.coloring
-        n = self.n_items
-        next_color = [0] * n
-        used = [0] * n
-        logs: list = [None] * n
-        depth = 0 if n else -1
-        while depth >= 0:
-            item = order[depth]
-            log = logs[depth]
-            if log is not None:
-                for gi, prev in log:
-                    colored[gi] -= 1
-                    if color[gi] == _MIXED and prev != _MIXED:
-                        alive += 1
-                    color[gi] = prev
-                coloring[item] = _UNSET
-            c, u = next_color[depth], used[depth]
-            if c > u or c == r:  # c reached min(r, u + 1): depth done
-                depth -= 1
-                continue
-            next_color[depth] = c + 1
-            self.explored += 1
-            check_nodes(self.explored)
-            coloring[item] = c
-            logs[depth] = log = []
-            dead_end = False
-            for gi in member_of[item]:
-                prev = color[gi]
-                if prev == _MIXED:
-                    continue
-                log.append((gi, prev))
-                colored[gi] += 1
-                if prev == _UNSET:
-                    color[gi] = c
-                elif prev != c:
-                    color[gi] = _MIXED
-                    alive -= 1
-                if color[gi] != _MIXED and colored[gi] == size[gi]:
-                    dead_end = True
-            if dead_end:
-                continue
-            if alive == 0:
-                return self._fill_rest(depth + 1)
-            # alive > 0 at full depth means some group ended monochromatic
-            if depth + 1 < n:
-                depth += 1
-                next_color[depth] = 0
-                used[depth] = max(u, c + 1)
-                logs[depth] = None
-        return None
-
-    def _fill_rest(self, depth: int) -> tuple[int, ...]:
-        out = list(self.coloring)
-        for pos in range(depth, self.n_items):
-            out[self.order[pos]] = 0
-        return tuple(out)
+            for pos in range(depth + 1, n):
+                coloring[order[pos]] = 0
+            return tuple(coloring), explored
+        # alive > 0 at full depth means some group ended monochromatic
+        if depth + 1 < n:
+            depth += 1
+            next_color[depth] = 0
+            used[depth] = max(u, c + 1)
+            logs[depth] = None
+    return None, explored
 
 
 def _decide_and_witness(n_items: int, groups: Sequence[tuple[int, ...]],
@@ -168,20 +154,33 @@ def _decide_and_witness(n_items: int, groups: Sequence[tuple[int, ...]],
         for item in g:
             membership[item] += 1
     fast_order = sorted(range(n_items), key=lambda i: (-membership[i], i))
-    fast = _Searcher(n_items, groups, r, fast_order, budget, 0)
-    bad = fast.run()
+    bad, explored = _least_bad(n_items, groups, r, fast_order, budget, 0)
     if bad is None:
-        return True, None, fast.explored
-    canonical = _Searcher(n_items, groups, r, range(n_items), budget,
-                          fast.explored)
-    least = canonical.run()
+        return True, None, explored
+    least, explored = _least_bad(n_items, groups, r, range(n_items), budget,
+                                 explored)
     if least is None:
         raise AssertionError("a bad coloring vanished between passes")
-    return False, least, canonical.explored
+    return False, least, explored
 
 
 # ---------------------------------------------------------------------------
 # public oracles
+
+
+def _copy_arrows(system: CopySystem, r: int, budget: Budget | None,
+                 items: str) -> ArrowResult:
+    """Arrowing over the host's ``items`` (``"edge_sets"`` or
+    ``"vertices"``), each copy's group being its own ``items``."""
+    budget = budget or DEFAULT_BUDGET
+    _require_copies_in_host(system)
+    host_items = getattr(system.host, items)
+    index = {x: i for i, x in enumerate(host_items)}
+    groups = [tuple(sorted(index[x] for x in getattr(c, items)))
+              for c in system.copies]
+    ok, witness, explored = _decide_and_witness(
+        len(host_items), groups, r, budget)
+    return ArrowResult(ok, r, witness, explored)
 
 
 def edge_arrows(system: CopySystem, r: int,
@@ -193,38 +192,17 @@ def edge_arrows(system: CopySystem, r: int,
     colorings align with the host's canonical edge order.  A copy that
     does not lie in the host raises ``InvalidArgument``.
     """
-    budget = budget or DEFAULT_BUDGET
-    _require_copies_in_host(system)
-    host = system.host
-    index = {e: i for i, e in enumerate(host.edge_sets)}
-    groups = [tuple(sorted(index[e] for e in c.edge_sets))
-              for c in system.copies]
-    ok, witness, explored = _decide_and_witness(
-        host.num_edges, groups, r, budget)
-    return ArrowResult(ok, r, witness, explored)
+    return _copy_arrows(system, r, budget, "edge_sets")
 
 
 def vertex_arrows(system: CopySystem, r: int,
                   budget: Budget | None = None) -> ArrowResult:
     """Vertex-coloring analogue: some copy ends with all vertices alike."""
-    budget = budget or DEFAULT_BUDGET
-    _require_copies_in_host(system)
-    host = system.host
-    index = {v: i for i, v in enumerate(host.vertices)}
-    groups = [tuple(sorted(index[v] for v in c.vertices))
-              for c in system.copies]
-    ok, witness, explored = _decide_and_witness(
-        host.num_vertices, groups, r, budget)
-    return ArrowResult(ok, r, witness, explored)
+    return _copy_arrows(system, r, budget, "vertices")
 
 
 # ---------------------------------------------------------------------------
 # combinatorial words, lines and the line property
-
-
-def enumerate_words(t: int, n: int) -> list[tuple[int, ...]]:
-    """All words of length n over the alphabet {0,...,t-1}, in lex order."""
-    return list(itertools.product(range(t), repeat=n))
 
 
 def word_index(word: Sequence[int], t: int) -> int:
@@ -316,8 +294,7 @@ def min_product_ramsey(f: Mapping, m: int, r: int, cap: int = 16,
     for M in range(m, cap + 1):
         host = complete_multipartite(f, M)
         embeddings = enumerate_copies(host, pattern, mode="fpartite")
-        system = CopySystem(host, tuple(
-            Copy(emb.image_key[0], emb.image_key[1]) for emb in embeddings))
+        system = CopySystem(host, tuple(map(copy_of_embedding, embeddings)))
         if edge_arrows(system, r, budget).arrows:
             return M
     raise BudgetExceeded(

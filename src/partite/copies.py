@@ -26,7 +26,8 @@ from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
 
 from .core import (Edge, Hypergraph, Vertex, _canonical_cyclic,
-                   canonical_edge, ekey, sort_vertices, vkey)
+                   are_isomorphic, canonical_edge, ekey, is_linear,
+                   sort_vertices, validate, vkey)
 from .errors import InvalidArgument, PreconditionViolation
 
 # ---------------------------------------------------------------------------
@@ -176,7 +177,6 @@ def _require_copies_in_host(system: _Members) -> None:
 
 def validate_system(system: CopySystem) -> list[str]:
     """Structural problems of a system of copies; empty list when fine."""
-    from .core import are_isomorphic, validate
     problems = validate(system.host)
     for c in system.copies:
         problems += _copy_problems(system.host, (c,))
@@ -223,7 +223,6 @@ def clean_intersections_linear_form(system: CopySystem) -> bool:
     vertex is non-isolated in both; (c) both copies have an edge.
     Used as an independent cross-check of the direct quantifier form.
     """
-    from .core import is_linear
     if not is_linear(system.host):
         raise PreconditionViolation(
             "the three-clause form applies to linear hosts only")
@@ -801,7 +800,6 @@ def girth_of_system_witness(system: CopySystem, bound,
     The notion is only defined over linear hosts.  A copy that does not
     lie in the host raises ``InvalidArgument``.
     """
-    from .core import is_linear
     _require_copies_in_host(system)
     if not is_linear(system.host):
         raise PreconditionViolation(

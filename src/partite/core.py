@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidArgument, PreconditionViolation
 
@@ -593,8 +593,7 @@ _MODES = ("nni", "induced", "fpartite")
 
 def enumerate_copies(H: Hypergraph, F: Hypergraph, mode: str = "induced",
                      *, respect_order: bool = False,
-                     distinct_images: bool = True,
-                     limit: int | None = None) -> tuple[Embedding, ...]:
+                     distinct_images: bool = True) -> tuple[Embedding, ...]:
     """All copies of the pattern ``F`` inside the host ``H``.
 
     Modes
@@ -615,6 +614,25 @@ def enumerate_copies(H: Hypergraph, F: Hypergraph, mode: str = "induced",
     *copy*); turn it off to count embeddings instead.  Results come in a
     deterministic order.
     """
+    embeddings = _embeddings(H, F, mode, respect_order)
+    if not distinct_images:
+        return tuple(embeddings)
+    first: dict[tuple, Embedding] = {}
+    for emb in embeddings:
+        first.setdefault(emb.image_key, emb)
+    return tuple(first.values())
+
+
+def _embeddings(H: Hypergraph, F: Hypergraph, mode: str,
+                respect_order: bool) -> Iterator[Embedding]:
+    """The embeddings of ``enumerate_copies``, in its deterministic order.
+
+    Pattern vertices are placed one at a time, high degree first; the
+    walk keeps in ``tried[i]`` how many host vertices it has tried for
+    pattern vertex ``i``, in host order, so it backtracks on an explicit
+    stack.  A pattern edge is checked as soon as its last vertex is
+    placed, and the induced condition once the map is complete.
+    """
     if mode not in _MODES:
         raise InvalidArgument(f"unknown copy mode {mode!r}")
     want_induced = mode == "induced"
@@ -630,7 +648,7 @@ def enumerate_copies(H: Hypergraph, F: Hypergraph, mode: str = "induced",
         class_of_F = F.partite.index_of
         class_of_H = H.partite.index_of
     if respect_order and (len(F.vertices) > len(H.vertices)):
-        return ()
+        return
 
     # order the pattern vertices: high degree first for pruning, isolated
     # vertices last; ties broken canonically for determinism
@@ -651,76 +669,63 @@ def enumerate_copies(H: Hypergraph, F: Hypergraph, mode: str = "induced",
     host_order = list(H.vertices) if respect_order else \
         sorted(H.vertices, key=vkey)
 
-    out: list[Embedding] = []
-    seen_images: set[tuple] = set()
-
-    def admissible(fv: Vertex, hv: Vertex, assignment: dict) -> bool:
-        if class_of_F is not None and class_of_F[fv] != class_of_H[hv]:
-            return False
-        if H.degree(hv) < F.degree(fv):
-            return False
-        if respect_order:
-            r = H_rank[hv]
-            for u, w in assignment.items():
-                if (F_rank[u] < F_rank[fv]) != (H_rank[w] < r):
-                    return False
-        return True
-
-    def place(i: int, assignment: dict, used: set) -> bool:
-        """Returns True when the enumeration should stop (limit hit)."""
-        if i == len(pattern):
-            return emit(assignment)
+    n, hosts = len(pattern), len(host_order)
+    assignment: dict[Vertex, Vertex] = {}
+    used: set = set()
+    tried = [0] * (n + 1)
+    i = 0
+    while i >= 0:
+        if i == n:
+            i -= 1
+            emb = Embedding(
+                source=F, target=H,
+                pairs=tuple(sorted(assignment.items(),
+                                   key=lambda p: vkey(p[0]))))
+            if want_induced:
+                img = emb.image_vertices
+                img_edges = emb.image_edges
+                if any(e <= img and e not in img_edges for e in H.edge_sets):
+                    continue
+            yield emb
+            continue
         fv = pattern[i]
-        for hv in host_order:
-            if hv in used or not admissible(fv, hv, assignment):
+        if fv in assignment:
+            used.remove(assignment.pop(fv))
+        fdeg = F.degree(fv)
+        while tried[i] < hosts:
+            hv = host_order[tried[i]]
+            tried[i] += 1
+            if hv in used:
                 continue
+            if class_of_F is not None and class_of_F[fv] != class_of_H[hv]:
+                continue
+            if H.degree(hv) < fdeg:
+                continue
+            if respect_order:
+                fr, hr = F_rank[fv], H_rank[hv]
+                if any((F_rank[u] < fr) != (H_rank[w] < hr)
+                       for u, w in assignment.items()):
+                    continue
             assignment[fv] = hv
-            used.add(hv)
-            ok = True
-            for e in edge_ready[i]:
-                if frozenset(assignment[v] for v in e) not in H_fam:
-                    ok = False
-                    break
-            if ok and place(i + 1, assignment, used):
-                return True
+            if all(frozenset(assignment[v] for v in e) in H_fam
+                   for e in edge_ready[i]):
+                used.add(hv)
+                i += 1
+                tried[i] = 0
+                break
             del assignment[fv]
-            used.remove(hv)
-        return False
-
-    def emit(assignment: dict) -> bool:
-        emb = Embedding(
-            source=F, target=H,
-            pairs=tuple(sorted(assignment.items(), key=lambda p: vkey(p[0]))))
-        if want_induced:
-            img = emb.image_vertices
-            img_edges = emb.image_edges
-            for e in H.edge_sets:
-                if e <= img and e not in img_edges:
-                    return False
-        if distinct_images:
-            key = emb.image_key
-            if key in seen_images:
-                return False
-            seen_images.add(key)
-        out.append(emb)
-        return limit is not None and len(out) >= limit
-
-    place(0, {}, set())
-    return tuple(out)
+        else:
+            i -= 1
 
 
-def find_isomorphism(F: Hypergraph, G: Hypergraph,
-                     respect_order: bool = False) -> Embedding | None:
+def find_isomorphism(F: Hypergraph, G: Hypergraph) -> Embedding | None:
     """An isomorphism F -> G, or ``None``.  Isolated vertices count."""
     if (F.num_vertices != G.num_vertices or F.num_edges != G.num_edges):
         return None
-    copies = enumerate_copies(G, F, mode="induced",
-                              respect_order=respect_order,
-                              distinct_images=False, limit=1)
-    for emb in copies:
-        if len(emb.image_vertices) == G.num_vertices \
-                and emb.image_edges == set(G.edge_sets):
-            return emb
+    emb = next(_embeddings(G, F, "induced", False), None)
+    if emb is not None and len(emb.image_vertices) == G.num_vertices \
+            and emb.image_edges == set(G.edge_sets):
+        return emb
     return None
 
 

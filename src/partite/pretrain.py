@@ -27,7 +27,8 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .core import (Edge, Hypergraph, Vertex, _canonical_cyclic,
                    canonical_edge, ekey, is_linear, is_strongly_induced,
-                   require_valid, shortest_edge_cycle, sort_vertices, vkey)
+                   require_valid, shortest_edge_cycle, sort_vertices,
+                   validate, vkey)
 from .copies import (Connector, Copy, CycleClass, CycleOfCopies,
                      _adjacent_coverable, _closing_walks, _copy_problems,
                      _least_collapse, _Members, _require_copies_in_host)
@@ -61,6 +62,12 @@ class Wagon:
         return Hypergraph(self.vertices, self.edges, ordered=ordered)
 
 
+def _normalize_ids(ids: Iterable) -> tuple[int, ...]:
+    """Wagon ids renumbered 0, 1, ... in order of first appearance."""
+    relabel: dict[Any, int] = {}
+    return tuple(relabel.setdefault(w, len(relabel)) for w in ids)
+
+
 @dataclass(frozen=True)
 class Pretrain:
     """A hypergraph with an equivalence relation on its edge set.
@@ -84,15 +91,10 @@ class Pretrain:
             raise InvalidArgument(
                 f"need one wagon id per edge: {self.hypergraph.num_edges} "
                 f"edges, {len(ids)} ids")
-        relabel: dict[Any, int] = {}
-        for w in ids:
-            if w not in relabel:
-                relabel[w] = len(relabel)
-        object.__setattr__(self, "wagon_ids",
-                           tuple(relabel[w] for w in ids))
+        object.__setattr__(self, "wagon_ids", _normalize_ids(ids))
         if self.provenance is not None:
             prov = tuple(self.provenance)
-            if len(prov) != len(relabel):
+            if len(prov) != self.num_wagons:
                 raise InvalidArgument(
                     "provenance must name one source wagon per wagon")
             object.__setattr__(self, "provenance", prov)
@@ -648,7 +650,6 @@ class PretrainCopySystem(_Members):
 
 def validate_pretrain_system(system: PretrainCopySystem) -> list[str]:
     """Structural problems of a system of pretrain copies."""
-    from .core import validate
     return validate(system.host) + _copy_problems(system.host, system.copies)
 
 

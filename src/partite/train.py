@@ -31,70 +31,29 @@ from .core import (Edge, Hypergraph, PartiteStructure, Vertex, is_linear,
 from .copies import Copy, _copy_problems, _Members
 from .errors import InvalidArgument, PreconditionViolation
 from .pretrain import (FrakGirthFailure, Pretrain, PretrainCopySystem, Wagon,
-                       _canonical_wagon_cycle, _wagon_cycle, contraction_map,
-                       frak_Girth_witness, is_extension, is_subpretrain,
-                       subpretrain)
+                       _canonical_wagon_cycle, _normalize_ids, _wagon_cycle,
+                       contraction_map, frak_Girth_witness, is_extension,
+                       is_subpretrain, subpretrain)
 
 # ---------------------------------------------------------------------------
 # sequences of girth bounds
 
 
-@dataclass(frozen=True)
-class GirthSequence:
-    """A finite word of girth bounds, each at least two.
-
-    Words form a monoid under concatenation; the empty word is allowed.
-    ``power`` builds the constant word of a
-    given length, the usual shorthand for "the same bound at every
-    level".
-    """
-
-    entries: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        es = tuple(int(g) for g in self.entries)
-        for g in es:
-            if g < 2:
-                raise InvalidArgument(f"girth bounds start at two, got {g}")
-        object.__setattr__(self, "entries", es)
-
-    @classmethod
-    def power(cls, g: int, m: int) -> "GirthSequence":
-        if m < 0:
-            raise InvalidArgument(f"word length must be nonnegative, got {m}")
-        return cls((g,) * m)
-
-    def concat(self, other) -> "GirthSequence":
-        return GirthSequence(self.entries + girth_sequence(other).entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
-
-
-def girth_sequence(obj) -> GirthSequence:
-    """Coerce an iterable of bounds, passing sequences through."""
-    if isinstance(obj, GirthSequence):
-        return obj
-    if isinstance(obj, int):
+def _girth_bounds(bounds) -> tuple[int, ...]:
+    """A word of girth bounds, each at least two, as a tuple of ints."""
+    if isinstance(bounds, int):
         raise InvalidArgument(
             "a girth sequence is built from an iterable of bounds; wrap a "
             "single bound in a tuple")
-    return GirthSequence(tuple(obj))
+    gs = tuple(int(g) for g in bounds)
+    for g in gs:
+        if g < 2:
+            raise InvalidArgument(f"girth bounds start at two, got {g}")
+    return gs
 
 
 # ---------------------------------------------------------------------------
 # quasitrains
-
-
-def _normalize_ids(ids: Iterable) -> tuple[int, ...]:
-    relabel: dict[Any, int] = {}
-    return tuple(relabel.setdefault(w, len(relabel)) for w in ids)
 
 
 @dataclass(frozen=True)
@@ -354,7 +313,7 @@ def frak_girth_seq_witness(Q: "Quasitrain | Train",
     bottom and wagons in id order, so the witness is deterministic.
     """
     Q = _chain_of(Q)
-    gs = girth_sequence(bounds)
+    gs = _girth_bounds(bounds)
     if len(gs) != Q.height:
         raise InvalidArgument(
             f"need one bound per level: height {Q.height}, "
@@ -578,7 +537,7 @@ def frak_Girth_seq_witness(system: QuasitrainCopySystem, bounds,
     """
     Q = system.base
     _require_quasitrain(Q)
-    gs = girth_sequence(bounds)
+    gs = _girth_bounds(bounds)
     m = Q.height
     if len(gs) != m:
         raise InvalidArgument(
@@ -639,7 +598,7 @@ def verify_revision(T: Train, candidate: "Quasitrain | Train",
             "edge meeting every class once")
     if g < 2:
         raise InvalidArgument(f"the girth threshold starts at two, got {g}")
-    gs = girth_sequence(bounds)
+    gs = _girth_bounds(bounds)
     if len(gs) != T.height - 1:
         raise InvalidArgument(
             f"need one bound per level above the first: height {T.height} "
@@ -678,7 +637,7 @@ def verify_revision(T: Train, candidate: "Quasitrain | Train",
         problems.extend(
             f"train clause fails: {p}" for p in validate_train(as_train))
     if not validate_quasitrain(cand):
-        target = GirthSequence.power(g, m).concat(gs)
+        target = (g,) * m + gs
         failed = frak_girth_seq_witness(cand, target)
         if failed is not None:
             problems.append(

@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 
 from partite import (Budget, BudgetExceeded, Copy, CopySystem, Hypergraph,
                      InvalidArgument, complete_graph, edge_arrows,
-                     enumerate_copies, enumerate_lines, enumerate_words,
-                     hj_line_property, min_hj_exponent, min_product_ramsey,
-                     vertex_arrows)
+                     enumerate_copies, enumerate_lines, hj_line_property,
+                     min_hj_exponent, min_product_ramsey, vertex_arrows)
 from oracles import (naive_edge_arrows, naive_hj_line_property,
                      naive_min_hj_exponent, naive_vertex_arrows,
                      random_copy_system)
@@ -168,12 +167,6 @@ def test_copy_with_a_foreign_vertex_is_named():
 
 # ---------------------------------------------------------------------------
 # words, lines, the line property
-
-
-def test_word_enumeration_in_lex_order():
-    words = enumerate_words(2, 3)
-    assert len(words) == 8
-    assert words == sorted(words)
 
 
 def test_line_count():

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partite import (Hypergraph, InvalidArgument, PreconditionViolation,
-                     canonical_cycle, check_cycle, complete_graph,
-                     complete_multipartite, complete_uniform,
+                     are_isomorphic, canonical_cycle, check_cycle,
+                     complete_graph, complete_multipartite, complete_uniform,
                      enumerate_copies, girth_exceeds, is_A_intersecting,
                      is_induced_subhypergraph, is_linear,
                      is_strongly_induced, make_partition, shortest_edge_cycle,
@@ -361,6 +361,28 @@ def test_respect_order_monotone_maps_only():
     free = enumerate_copies(P4, P3, mode="induced")
     assert len(ordered) == 2  # 0-1-2 and 1-2-3, increasing only
     assert len(free) == 2  # same images; reversal maps hit equal images
+
+
+def path_graph(n_edges, partite=None):
+    vs = tuple(range(n_edges + 1))
+    return Hypergraph(vs, tuple((i, i + 1) for i in range(n_edges)), k=2,
+                      partite=partite)
+
+
+def test_copy_enumeration_does_not_recurse():
+    # placing 1201 pattern vertices would need 1201 frames if each took one
+    P = path_graph(1200)
+    assert are_isomorphic(P, P)
+    # one class per vertex leaves a single map to find, so the 150-level
+    # walk stays cheap
+    Q = path_graph(149, make_partition({v: (v,) for v in range(150)}))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        copies = enumerate_copies(Q, Q, mode="fpartite")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [emb.pairs for emb in copies] == [tuple((v, v) for v in range(150))]
 
 
 def test_uniform_copies_in_fano():

@@ -318,6 +318,21 @@ def test_system_seq_girth_needs_one_bound_per_level():
             frak_Girth_seq_exceeds(system, bounds)
 
 
+@pytest.mark.parametrize("bounds, message", [
+    (2, "wrap a single bound in a tuple"),
+    ((2, 1), "girth bounds start at two, got 1"),
+])
+def test_girth_words_are_checked(bounds, message):
+    Q = path_quasitrain()
+    with pytest.raises(InvalidArgument, match=message):
+        frak_girth_seq_witness(Q, bounds)
+    with pytest.raises(InvalidArgument, match=message):
+        frak_Girth_seq_witness(QuasitrainCopySystem(Q, ()), bounds)
+    T = random_partite_train(random.Random(0), m=2)
+    with pytest.raises(InvalidArgument, match=message):
+        verify_revision(T, T, [T.parameter[0]], 2, bounds)
+
+
 # ---------------------------------------------------------------------------
 # revisions of partite-uniform trains
 
@@ -346,6 +361,31 @@ def test_revision_reports_both_parameter_clauses():
     assert len(param) == 2
     assert any("holds 2 indices" in p for p in param)
     assert any("reaches outside" in p for p in param)
+
+
+def test_revision_girth_clause_reads_the_spliced_word():
+    # three edges, pairwise meeting in one vertex of a different class,
+    # form a 3-cycle inside the single level-one wagon of T
+    H = TRIPARTITE.restrict_edges([((0, 0), (1, 0), (2, 0)),
+                                   ((0, 0), (1, 1), (2, 1)),
+                                   ((0, 1), (1, 1), (2, 0))])
+    T = Train(Quasitrain(H, ((0, 1, 2), (0, 0, 0), (0, 0, 0))),
+              ({0, 1, 2}, ()))
+    assert validate_train(T) == []
+    # a fresh level of single edges lifts the cycle to level two, which
+    # reads the threshold g of the word (g, g) + bounds
+    fresh = Quasitrain(H, ((0, 1, 2), (0, 1, 2), (0, 0, 0), (0, 0, 0)))
+
+    def girth_problems(candidate, B, g, bounds):
+        report = verify_revision(T, candidate, B, g, bounds)
+        return [p for p in report.problems if p.startswith("girth clause")]
+
+    cycle = "girth clause fails: a cycle of 3 wagons sits inside wagon 0"
+    assert girth_problems(T, [{0}], 2, (3,)) == []
+    assert girth_problems(T, [{0}], 3, (2,)) == [f"{cycle} of level 1"]
+    assert girth_problems(fresh, [{0}, {0}], 2, (3,)) == []
+    assert girth_problems(fresh, [{0}, {0}], 3, (2,)) == [
+        f"{cycle} of level 2"]
 
 
 def test_revision_keeps_the_hypergraph():
