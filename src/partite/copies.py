@@ -21,6 +21,7 @@ systems all live here.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
@@ -571,11 +572,14 @@ def _least_collapse(cycle: CycleOfCopies, star: Copy, options_at,
     ``options_at(i)`` lists, in order of preference, the ways to
     replace the copy at position i: triples of a label, the run of
     copies taking its place and the connectors introduced between them.
-    The backtracking runs over the replaced positions in cyclic order;
-    cyclically consecutive copies of the collapse must differ and the
-    introduced connectors must be new.  The collapse, spliced with
-    ``make``, must pass ``check`` with no problem.  Returns the chosen
-    labels keyed by position together with the collapse.
+    The backtracking runs over the replaced positions in cyclic order,
+    with one option iterator per position; cyclically consecutive
+    copies of the collapse must differ and the introduced connectors
+    must be new.  ``first[i]`` and ``last[i]`` hold the first and last
+    copy at position i after the collapse, ``None`` while it is
+    undecided.  The collapse, spliced with ``make``, must pass
+    ``check`` with no problem.  Returns the chosen labels keyed by
+    position together with the collapse.
     """
     n = cycle.length
     positions = [i for i in range(n) if cycle.copies[i] != star]
@@ -591,39 +595,37 @@ def _least_collapse(cycle: CycleOfCopies, star: Copy, options_at,
         options.append(opts)
 
     taken = set(cycle.connectors)
-    chosen: dict[int, tuple] = {}
-
-    def end(i: int, side: int) -> Copy | None:
-        """The first (side 0) or last (side -1) copy at position i after
-        the collapse; None while the position is undecided."""
-        if cycle.copies[i] == star:
-            return star
-        got = chosen.get(i)
-        return None if got is None else got[1][side]
-
-    def pick(at: int) -> bool:
-        if at == len(positions):
-            return True
+    first = [star if c == star else None for c in cycle.copies]
+    last = first[:]
+    untried = [iter(opts) for opts in options]
+    chosen: list[tuple] = []
+    while len(chosen) < len(positions):
+        at = len(chosen)
         i = positions[at]
-        for label, run, links in options[at]:
-            if (end((i - 1) % n, -1) == run[0]
-                    or end((i + 1) % n, 0) == run[-1]
+        for label, run, links in untried[at]:
+            if (last[(i - 1) % n] == run[0] or first[(i + 1) % n] == run[-1]
                     or not taken.isdisjoint(links)):
                 continue
-            chosen[i] = (label, run, links)
+            chosen.append((label, run, links))
+            first[i], last[i] = run[0], run[-1]
             taken.update(links)
-            if pick(at + 1):
-                return True
+            break
+        else:
+            # every option here failed: start it afresh and take back
+            # the choice at the position before
+            if not chosen:
+                return None
+            untried[at] = iter(options[at])
+            _, _, links = chosen.pop()
+            prev = positions[at - 1]
+            first[prev] = last[prev] = None
             taken.difference_update(links)
-            del chosen[i]
-        return False
 
-    if not pick(0):
-        return None
+    by_position = dict(zip(positions, chosen))
     steps: list[Step] = []
     for i, (c, q) in enumerate(cycle.steps):
-        if i in chosen:
-            _, run, links = chosen[i]
+        if i in by_position:
+            _, run, links = by_position[i]
             steps += zip(run, links + (q,))
         else:
             steps.append((c, q))
@@ -631,7 +633,7 @@ def _least_collapse(cycle: CycleOfCopies, star: Copy, options_at,
     # paranoia: the collapse must be a genuine cycle
     if check(replaced):
         return None
-    return {i: got[0] for i, got in chosen.items()}, replaced
+    return {i: got[0] for i, got in by_position.items()}, replaced
 
 
 # ---------------------------------------------------------------------------
@@ -639,11 +641,16 @@ def _least_collapse(cycle: CycleOfCopies, star: Copy, options_at,
 
 
 def normalize_girth_bound(bound) -> tuple[int, int]:
-    """Accept an integer g (meaning the pair (g, 2g)) or a pair (g, n)."""
+    """Accept an integer g (meaning the pair (g, 2g)) or a pair (g, n)
+    of integers; anything else raises ``InvalidArgument``."""
     if isinstance(bound, int):
         if bound < 1:
             raise InvalidArgument(f"girth bound must be positive, got {bound}")
         return (bound, 2 * bound)
+    if not (isinstance(bound, (tuple, list)) and len(bound) == 2
+            and all(isinstance(x, int) for x in bound)):
+        raise InvalidArgument(
+            f"a girth bound is an int or a pair of ints, got {bound!r}")
     g, n = bound
     if g < 1 or n < 2:
         raise InvalidArgument(f"girth bound {bound!r} out of range")
@@ -668,11 +675,18 @@ def _closing_walks(members: Sequence[Copy], links, make, keep,
     least the start, never stays at a member and never reuses a
     connector; it has at most ``max_len`` steps.  The connectors
     between two members are their shared vertices followed by
-    ``links(a, b)``.  A walk back to its start after at least two steps
-    closes a cycle.  Its h comes from the kinds of its connectors before
-    any cycle is built, and a walk over the bound is dropped.  Every
-    other cycle is built once by ``make``, which canonicalises it, and
-    ``keep`` is asked about it once, however many walks close it.
+    ``links(a, b)``.  They are numbered once per call, and ``moves[i]``
+    holds a (member index, connector id) pair for each connector out of
+    member i, by member index.  The walk runs on an explicit stack:
+    ``tried[d]`` counts the moves tried out of ``walk[d]``, and
+    ``twice[d]`` is twice the order that the copies strictly inside
+    ``walk[:d + 1]`` add.
+
+    A walk back to its start after at least two steps closes a cycle.
+    Its h comes from the kinds of its connectors before any cycle is
+    built, and a walk over the bound is dropped.  Every other cycle is
+    built once by ``make``, which canonicalises it, and ``keep`` is
+    asked about it once, however many walks close it.
 
     A copy whose two flanking connectors are placed adds a fixed 1
     (pure) or 1/2 (mixed) to the order, and the two copies at the ends
@@ -681,52 +695,63 @@ def _closing_walks(members: Sequence[Copy], links, make, keep,
     """
     twice_g = 2 * bound[0]
     ids: dict[Connector, int] = {}
-    connectors: list[Connector] = []
-    kinds: list[str] = []
-    joint_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+    joints: dict[tuple[int, int], tuple[int, ...]] = {}
+    moves: list[list[tuple[int, int]]] = [[] for _ in members]
+    for i, j in itertools.combinations(range(len(members)), 2):
+        a, b = members[i], members[j]
+        joined = [vertex_connector(v)
+                  for v in sort_vertices(a.vertex_set & b.vertex_set)]
+        joined += links(a, b)
+        if joined:
+            got = tuple(ids.setdefault(q, len(ids)) for q in joined)
+            joints[i, j] = joints[j, i] = got
+            moves[i] += ((j, q) for q in got)
+            moves[j] += ((i, q) for q in got)
+    connectors = list(ids)
+    kinds = [q.kind for q in connectors]
 
-    def joints(i: int, j: int) -> tuple[int, ...]:
-        key = (i, j) if i <= j else (j, i)
-        got = joint_cache.get(key)
-        if got is None:
-            a, b = members[key[0]], members[key[1]]
-            joined = [vertex_connector(v)
-                      for v in sort_vertices(a.vertex_set & b.vertex_set)]
-            joined += links(a, b)
-            for q in joined:
-                if q not in ids:
-                    ids[q] = len(connectors)
-                    connectors.append(q)
-                    kinds.append(q.kind)
-            got = tuple(ids[q] for q in joined)
-            joint_cache[key] = got
-        return got
-
-    def share(q: int, r: int) -> int:
-        """Twice the order a copy between connectors q and r adds."""
-        return 2 if kinds[q] == kinds[r] else 1
-
-    walk: list[int] = []     # member indices
-    qs: list[int] = []       # connector ids, one fewer than walk
     used: set[int] = set()
     seen: set[tuple] = set()
     found: list[CycleOfCopies] = []
-
-    def search(fixed: int) -> None:
-        """``fixed`` is twice the order that the copies strictly inside
-        the walk add."""
-        depth = len(walk)
-        first, last = walk[0], walk[-1]
-        if depth >= 2 and last != first:
-            # try to close the cycle back to the first member
-            for q in joints(last, first):
+    for first in range(len(members)):
+        walk, qs, twice = [first], [], [0]
+        tried = [bisect_left(moves[first], (first, -1))]
+        while walk:
+            out = moves[walk[-1]] if len(walk) < max_len else ()
+            k = tried[-1]
+            while k < len(out):
+                j, q = out[k]
+                k += 1
                 if q in used:
                     continue
-                order = (fixed + share(q, qs[0]) + share(qs[-1], q)) // 2
-                if (order, depth) > bound:
+                now = twice[-1] + (
+                    (2 if kinds[qs[-1]] == kinds[q] else 1) if qs else 0)
+                if now + 2 <= twice_g:
+                    break
+            else:
+                walk.pop()
+                tried.pop()
+                twice.pop()
+                if qs:
+                    used.remove(qs.pop())
+                continue
+            tried[-1] = k
+            walk.append(j)
+            qs.append(q)
+            used.add(q)
+            twice.append(now)
+            tried.append(bisect_left(moves[j], (first, -1)))
+            # try to close the cycle back to the first member
+            for r in joints.get((j, first), ()):
+                if r in used:
                     continue
-                steps = tuple(zip(walk, qs + [q]))
-                key = _canonical_cyclic(steps, lambda p: p)
+                order = (now + (2 if kinds[r] == kinds[qs[0]] else 1)
+                         + (2 if kinds[qs[-1]] == kinds[r] else 1)) // 2
+                if (order, len(walk)) > bound:
+                    continue
+                # the steps are pairs of ints, their own sort keys
+                steps = tuple(zip(walk, qs + [r]))
+                key = _canonical_cyclic(steps, tuple)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -734,32 +759,11 @@ def _closing_walks(members: Sequence[Copy], links, make, keep,
                                  for i, c in steps))
                 if keep(cyc):
                     found.append(cyc)
-        if depth == max_len:
-            return
-        for j in range(first, len(members)):
-            if j == last:
-                continue
-            for q in joints(last, j):
-                if q in used:
-                    continue
-                now = fixed + (share(qs[-1], q) if qs else 0)
-                if now + 2 > twice_g:
-                    continue
-                walk.append(j)
-                qs.append(q)
-                used.add(q)
-                search(now)
-                used.remove(q)
-                qs.pop()
-                walk.pop()
+    return tuple(sorted(found, key=_h_then_steps))
 
-    for start in range(len(members)):
-        walk.append(start)
-        search(0)
-        walk.pop()
 
-    return tuple(sorted(
-        found, key=lambda c: (c.h, tuple((cp.key, q.key) for cp, q in c.steps))))
+def _h_then_steps(cycle: CycleOfCopies) -> tuple:
+    return (cycle.h, tuple((c.key, q.key) for c, q in cycle.steps))
 
 
 def _shared_edges(a: Copy, b: Copy) -> list[Connector]:
@@ -798,8 +802,12 @@ def girth_of_system_witness(system: CopySystem, bound,
     the first masterless cycle in (h, lexicographic) order.  Passing
     ``notion="semitidy"`` evaluates the equivalent semitidy criterion.
     The notion is only defined over linear hosts.  A copy that does not
-    lie in the host raises ``InvalidArgument``.
+    lie in the host, or any other notion, raises ``InvalidArgument``.
     """
+    if notion not in ("tidy", "semitidy"):
+        raise InvalidArgument(
+            f"the girth of a system reads tidy or semitidy cycles, "
+            f"got notion {notion!r}")
     _require_copies_in_host(system)
     if not is_linear(system.host):
         raise PreconditionViolation(

@@ -780,10 +780,13 @@ def complete_multipartite(f: Mapping[Any, int], m: int) -> Hypergraph:
         if f[i] > m:
             raise InvalidArgument(
                 f"cannot pick {f[i]} vertices from a class of size {m}")
+    k = sum(f.values())
+    if k < 2:
+        raise InvalidArgument(
+            f"edges need at least two vertices, the class sizes sum to {k}")
     per_class = [list(itertools.combinations(classes[i], f[i])) for i in idx]
     edges = [tuple(itertools.chain.from_iterable(choice))
              for choice in itertools.product(*per_class)]
     vs = tuple(itertools.chain.from_iterable(classes[i] for i in idx))
-    k = sum(f.values())
     return Hypergraph(vs, edges, k=k,
                       partite=make_partition(classes, f))

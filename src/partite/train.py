@@ -160,10 +160,6 @@ def _require_quasitrain(Q: Quasitrain) -> None:
         raise PreconditionViolation("; ".join(problems))
 
 
-def _chain_of(obj: "Quasitrain | Train") -> Quasitrain:
-    return obj.quasitrain if isinstance(obj, Train) else obj
-
-
 def is_subquasitrain(sub: Quasitrain, sup: Quasitrain) -> bool:
     """Subhypergraph whose relation at every level is the restriction."""
     if sub.height != sup.height:
@@ -191,29 +187,31 @@ def subquasitrain(Q: Quasitrain, vertices: Iterable[Vertex],
 
 
 @dataclass(frozen=True)
-class Train:
+class Train(Quasitrain):
     """A quasitrain over a partite hypergraph with a meeting parameter.
 
     ``parameter[mu - 1]`` names the vertex classes inside which two
     distinct wagons of level ``mu - 1`` may meet when they share the
-    level-``mu`` wagon.  The host must carry a partite structure and
-    the parameter must name its indices; whether the confinement
-    actually holds is reported by :func:`validate_train`.
+    level-``mu`` wagon.  A train is a quasitrain, so every function
+    that takes a quasitrain takes a train as well.  The host must carry
+    a partite structure and the parameter must name its indices;
+    whether the confinement actually holds is reported by
+    :func:`validate_train`.
     """
 
-    quasitrain: Quasitrain
     parameter: tuple[frozenset, ...]
 
     def __post_init__(self):
-        part = self.quasitrain.hypergraph.partite
+        super().__post_init__()
+        part = self.hypergraph.partite
         if part is None:
             raise InvalidArgument(
                 "a train needs a partite structure on its hypergraph")
         par = tuple(frozenset(A) for A in self.parameter)
-        if len(par) != self.quasitrain.height:
+        if len(par) != self.height:
             raise InvalidArgument(
                 f"need one parameter entry per level: height "
-                f"{self.quasitrain.height}, {len(par)} entries")
+                f"{self.height}, {len(par)} entries")
         known = set(part.indices)
         for A in par:
             if not A <= known:
@@ -225,29 +223,15 @@ class Train:
     @classmethod
     def of_hypergraph(cls, H: Hypergraph, A: Iterable) -> "Train":
         """Height-one train; valid exactly when ``H`` is A-intersecting."""
-        return cls(Quasitrain.of_hypergraph(H), (frozenset(A),))
+        Q = Quasitrain.of_hypergraph(H)
+        return cls(H, Q.chain, (frozenset(A),))
 
     @classmethod
     def of_pretrain(cls, P: Pretrain, A1: Iterable,
                     A2: Iterable) -> "Train":
         """Height-two train over a pretrain's wagon structure."""
-        return cls(Quasitrain.of_pretrain(P),
-                   (frozenset(A1), frozenset(A2)))
-
-    @property
-    def hypergraph(self) -> Hypergraph:
-        return self.quasitrain.hypergraph
-
-    @property
-    def partite(self) -> PartiteStructure:
-        return self.quasitrain.hypergraph.partite
-
-    @property
-    def height(self) -> int:
-        return self.quasitrain.height
-
-    def level(self, mu: int) -> Pretrain:
-        return self.quasitrain.level(mu)
+        Q = Quasitrain.of_pretrain(P)
+        return cls(P.hypergraph, Q.chain, (frozenset(A1), frozenset(A2)))
 
 
 def validate_train(T: Train) -> list[str]:
@@ -258,16 +242,15 @@ def validate_train(T: Train) -> list[str]:
     name the level and the vertices at which two wagons of the level
     below meet outside the allowed classes.
     """
-    Q = T.quasitrain
-    problems = validate_quasitrain(Q)
+    problems = validate_quasitrain(T)
     if problems:
         return problems
-    part = T.partite
-    for mu in range(1, Q.height + 1):
+    part = T.hypergraph.partite
+    for mu in range(1, T.height + 1):
         allowed = part.union_of(T.parameter[mu - 1])
-        hi_of_low = dict(zip(Q.chain[mu - 1], Q.chain[mu]))
+        hi_of_low = dict(zip(T.chain[mu - 1], T.chain[mu]))
         by_hi: dict[int, list[Wagon]] = {}
-        for w in Q.level(mu - 1).wagons:
+        for w in T.level(mu - 1).wagons:
             by_hi.setdefault(hi_of_low[w.id], []).append(w)
         for ws in by_hi.values():
             for a, b in itertools.combinations(ws, 2):
@@ -302,8 +285,7 @@ class SeqGirthFailure:
     cycle: tuple
 
 
-def frak_girth_seq_witness(Q: "Quasitrain | Train",
-                           bounds) -> SeqGirthFailure | None:
+def frak_girth_seq_witness(Q: Quasitrain, bounds) -> SeqGirthFailure | None:
     """First level and wagon where the chain of girth bounds fails.
 
     Level ``mu`` requires, inside every one of its wagons, the wagons
@@ -312,7 +294,6 @@ def frak_girth_seq_witness(Q: "Quasitrain | Train",
     linear fails its level outright.  Levels are scanned from the
     bottom and wagons in id order, so the witness is deterministic.
     """
-    Q = _chain_of(Q)
     gs = _girth_bounds(bounds)
     if len(gs) != Q.height:
         raise InvalidArgument(
@@ -345,7 +326,7 @@ def frak_girth_seq_witness(Q: "Quasitrain | Train",
     return None
 
 
-def frak_girth_seq_exceeds(Q: "Quasitrain | Train", bounds) -> bool:
+def frak_girth_seq_exceeds(Q: Quasitrain, bounds) -> bool:
     """No level houses a wagon cycle within its bound."""
     return frak_girth_seq_witness(Q, bounds) is None
 
@@ -354,7 +335,7 @@ def frak_girth_seq_exceeds(Q: "Quasitrain | Train", bounds) -> bool:
 # lifting a level-one extension through the chain
 
 
-def lift_one_extension(F: "Quasitrain | Train", ext: Pretrain) -> Quasitrain:
+def lift_one_extension(F: Quasitrain, ext: Pretrain) -> Quasitrain:
     """The unique quasitrain over ``ext`` having ``F`` inside.
 
     ``ext`` must extend the level-one pretrain of ``F``.  Level zero of
@@ -364,7 +345,6 @@ def lift_one_extension(F: "Quasitrain | Train", ext: Pretrain) -> Quasitrain:
     there.  Every level of the output extends the matching level of
     ``F``; the chain is the only one restricting to ``F``'s.
     """
-    F = _chain_of(F)
     _require_quasitrain(F)
     base1 = F.level(1)
     try:
@@ -397,7 +377,7 @@ def lift_one_extension(F: "Quasitrain | Train", ext: Pretrain) -> Quasitrain:
 # disjoint unions
 
 
-def disjoint_union_with_copies(items: "Iterable[Quasitrain | Train]",
+def disjoint_union_with_copies(items: Iterable[Quasitrain],
                                ) -> tuple:
     """Fresh-vertex union of ordered quasitrains or trains of one
     height, plus the standard copy of every item.
@@ -417,9 +397,8 @@ def disjoint_union_with_copies(items: "Iterable[Quasitrain | Train]",
         raise InvalidArgument(
             "mixing trains with bare quasitrains leaves the parameter of "
             "the union unclear; convert explicitly")
-    chains = [_chain_of(p) for p in parts]
-    m = chains[0].height
-    for j, q in enumerate(chains):
+    m = parts[0].height
+    for j, q in enumerate(parts):
         if q.height != m:
             raise InvalidArgument(
                 f"heights differ: item 0 has {m}, item {j} has {q.height}")
@@ -437,7 +416,7 @@ def disjoint_union_with_copies(items: "Iterable[Quasitrain | Train]",
                     f"{tuple(map(sort_vertices, t.parameter))!r}")
 
     shapes = {(q.hypergraph.partite.indices, q.hypergraph.partite.sizes)
-              if q.hypergraph.partite is not None else None for q in chains}
+              if q.hypergraph.partite is not None else None for q in parts}
     if len(shapes) > 1:
         raise InvalidArgument(
             "the items carry incompatible partite structures")
@@ -448,34 +427,36 @@ def disjoint_union_with_copies(items: "Iterable[Quasitrain | Train]",
         upart = PartiteStructure(
             idx,
             tuple(tuple((j, v)
-                        for j, q in enumerate(chains)
+                        for j, q in enumerate(parts)
                         for v in q.hypergraph.partite.classes[pos])
                   for pos in range(len(idx))),
             sizes)
 
-    vs = tuple((j, v) for j, q in enumerate(chains)
+    vs = tuple((j, v) for j, q in enumerate(parts)
                for v in q.hypergraph.vertices)
     es: list[tuple] = []
     label: list[dict[frozenset, Any]] = [dict() for _ in range(m + 1)]
-    for j, q in enumerate(chains):
+    for j, q in enumerate(parts):
         for idx_e, e in enumerate(q.hypergraph.edges):
             fe = tuple((j, v) for v in e)
             es.append(fe)
             for mu in range(m):
                 label[mu][frozenset(fe)] = (j, q.chain[mu][idx_e])
             label[m][frozenset(fe)] = 0
-    ks = {q.hypergraph.k for q in chains}
+    ks = {q.hypergraph.k for q in parts}
     union_host = Hypergraph(vs, tuple(es),
                             k=ks.pop() if len(ks) == 1 else None,
                             ordered=True, partite=upart)
     rows = tuple(tuple(label[mu][frozenset(e)] for e in union_host.edges)
                  for mu in range(m + 1))
-    union = Quasitrain(union_host, rows)
-    out = Train(union, parts[0].parameter) if all(trainness) else union
+    if all(trainness):
+        out = Train(union_host, rows, parts[0].parameter)
+    else:
+        out = Quasitrain(union_host, rows)
     copies = tuple(
         Copy(tuple((j, v) for v in q.hypergraph.vertices),
              tuple(tuple((j, v) for v in e) for e in q.hypergraph.edges))
-        for j, q in enumerate(chains))
+        for j, q in enumerate(parts))
     return out, copies
 
 
@@ -573,7 +554,7 @@ class RevisionReport:
         return self.ok
 
 
-def verify_revision(T: Train, candidate: "Quasitrain | Train",
+def verify_revision(T: Train, candidate: Quasitrain,
                     B: Sequence[Iterable], g: int, bounds) -> RevisionReport:
     """Check a claimed revision of a partite-uniform train.
 
@@ -592,7 +573,7 @@ def verify_revision(T: Train, candidate: "Quasitrain | Train",
     if bad:
         raise InvalidArgument(
             "the train under revision is not a train: " + "; ".join(bad))
-    if not T.partite.uniform_unit:
+    if not T.hypergraph.partite.uniform_unit:
         raise InvalidArgument(
             "revisions are defined for partite-uniform trains, with every "
             "edge meeting every class once")
@@ -607,22 +588,21 @@ def verify_revision(T: Train, candidate: "Quasitrain | Train",
     if m == 0:
         raise InvalidArgument("a revision has at least one parameter entry")
     ext_par = tuple(frozenset(A) for A in B)
-    known = set(T.partite.indices)
+    known = set(T.hypergraph.partite.indices)
     for A in ext_par:
         if not A <= known:
             raise InvalidArgument(
                 f"revision parameter names unknown partite indices "
                 f"{sort_vertices(A - known)!r}")
-    cand = _chain_of(candidate)
-    if cand.hypergraph != T.hypergraph:
+    if candidate.hypergraph != T.hypergraph:
         raise InvalidArgument(
             "a revision keeps the underlying hypergraph of the train")
-    if cand.height != T.height + m - 1:
+    if candidate.height != T.height + m - 1:
         raise InvalidArgument(
             f"a revision with {m} parameter entries has height "
-            f"{T.height + m - 1}, the candidate has {cand.height}")
-    keep = T.quasitrain.chain
-    if cand.chain[0] != keep[0] or cand.chain[m:] != keep[1:]:
+            f"{T.height + m - 1}, the candidate has {candidate.height}")
+    keep = T.chain
+    if candidate.chain[0] != keep[0] or candidate.chain[m:] != keep[1:]:
         raise InvalidArgument(
             "a revision splices fresh levels directly above level one and "
             "keeps the rest of the chain")
@@ -630,15 +610,15 @@ def verify_revision(T: Train, candidate: "Quasitrain | Train",
     problems: list[str] = []
     full_par = ext_par + T.parameter[1:]
     try:
-        as_train = Train(cand, full_par)
+        as_train = Train(candidate.hypergraph, candidate.chain, full_par)
     except InvalidArgument as exc:
         problems.append(f"train clause fails: {exc}")
     else:
         problems.extend(
             f"train clause fails: {p}" for p in validate_train(as_train))
-    if not validate_quasitrain(cand):
+    if not validate_quasitrain(candidate):
         target = (g,) * m + gs
-        failed = frak_girth_seq_witness(cand, target)
+        failed = frak_girth_seq_witness(candidate, target)
         if failed is not None:
             problems.append(
                 f"girth clause fails: a cycle of {len(failed.cycle)} "

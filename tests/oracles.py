@@ -647,7 +647,7 @@ def random_partite_train(rng: random.Random, k: int = 3, m: int = 2):
     with parameter entries of size at most one by construction.
     """
     from partite.core import make_partition
-    from partite.train import Quasitrain, Train
+    from partite.train import Train
 
     counters = [0] * k
     bounds = [rng.choice([None] + list(range(k))) for _ in range(m)]
@@ -701,4 +701,4 @@ def random_partite_train(rng: random.Random, k: int = 3, m: int = 2):
                  for nu in range(m + 1))
     parameter = tuple(frozenset() if b is None else frozenset({b})
                       for b in bounds)
-    return Train(Quasitrain(H, rows), parameter)
+    return Train(H, rows, parameter)

@@ -8,23 +8,26 @@ tidy cycle with a unique master.
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partite import (Connector, Copy, CopySystem, CycleOfCopies, Hypergraph,
-                     InvalidArgument, PreconditionViolation,
-                     check_copy_cycle, classify_cycle, complete_graph,
-                     clean_intersection_violation,
+                     InvalidArgument, PreconditionViolation, Pretrain,
+                     PretrainCopySystem, check_copy_cycle, classify_cycle,
+                     complete_graph, clean_intersection_violation,
                      clean_intersections_linear_form,
                      edge_connector, enumerate_copy_cycles, find_master_copy,
-                     girth_of_system_exceeds, girth_of_system_witness,
-                     has_clean_intersections, has_master, is_tidy,
-                     master_copies, semitidy_equivalence_check,
+                     frak_Girth_witness, girth_of_system_exceeds,
+                     girth_of_system_witness, has_clean_intersections,
+                     has_master, is_tidy, master_copies,
+                     normalize_girth_bound, semitidy_equivalence_check,
                      validate_system, vertex_connector)
 from partite import copies
 from oracles import naive_copy_cycles, naive_masters, random_copy_system
+from test_core import _stack_depth, cycle_graph
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +353,43 @@ def test_scalar_bound_is_the_doubled_pair():
     system = star_system()
     assert girth_of_system_exceeds(system, 2) == \
         girth_of_system_exceeds(system, (2, 4))
+
+
+def test_system_girth_reads_tidy_or_semitidy_cycles_only():
+    with pytest.raises(InvalidArgument,
+                       match="reads tidy or semitidy cycles, got notion 'all'"):
+        girth_of_system_witness(star_system(), 2, notion="all")
+
+
+@pytest.mark.parametrize("bound", [(2, 3, 4), "ab", 2.5, (2.7, 5), (2,)])
+def test_malformed_girth_bounds_are_rejected(bound):
+    with pytest.raises(InvalidArgument,
+                       match="a girth bound is an int or a pair of ints"):
+        normalize_girth_bound(bound)
+
+
+def test_system_cycle_search_does_not_recurse():
+    # a closing walk of 150 members, or a collapse of 148 positions,
+    # would need a frame per step if each step took one
+    C = cycle_graph(150)
+    whole = Copy.from_hypergraph(C)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        wit = girth_of_system_witness(CopySystem(C, ()), 150)
+        failed = frak_Girth_witness(
+            PretrainCopySystem(Pretrain.singletons(C), ()), 150)
+        system = CopySystem(C, (whole,))
+        steps = [(whole, vertex_connector(1))]
+        steps += [(Copy.of_edge((i, i + 1)), vertex_connector(i + 1))
+                  for i in range(1, 149)]
+        master = find_master_copy(system, CycleOfCopies(tuple(steps)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert wit is not None and wit.h == (150, 150)
+    assert failed.cycle is not None and failed.cycle.length == 150
+    star, family = master
+    assert star == whole and len(family) == 148
 
 
 def test_girth_needs_linear_host():

@@ -13,8 +13,8 @@ from partite import (Hypergraph, InvalidArgument, PreconditionViolation,
                      complete_graph, complete_multipartite, complete_uniform,
                      enumerate_copies, girth_exceeds, is_A_intersecting,
                      is_induced_subhypergraph, is_linear,
-                     is_strongly_induced, make_partition, shortest_edge_cycle,
-                     validate)
+                     is_strongly_induced, make_partition, min_product_ramsey,
+                     shortest_edge_cycle, validate)
 from oracles import (naive_girth_exceeds, naive_least_cycle,
                      naive_shortest_cycle_length,
                      naive_strongly_induced_linear, random_hypergraph,
@@ -414,6 +414,16 @@ def test_complete_multipartite_shape():
     assert H.num_vertices == 3 and H.num_edges == 3  # a triangle
     G = complete_multipartite({0: 1, 1: 2}, 3)
     assert G.num_edges == 3 * 3  # choose 1 of 3, then 2 of 3
+
+
+def test_complete_multipartite_needs_edges_of_two_vertices():
+    for f in ({}, {0: 1}, {0: 0, 1: 1}):
+        with pytest.raises(InvalidArgument,
+                           match="edges need at least two vertices"):
+            complete_multipartite(f, 2)
+    with pytest.raises(InvalidArgument,
+                       match="the class sizes sum to 0"):
+        min_product_ramsey({}, 1, 2)
 
 
 def test_complete_uniform_counts():

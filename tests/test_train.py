@@ -369,8 +369,7 @@ def test_revision_girth_clause_reads_the_spliced_word():
     H = TRIPARTITE.restrict_edges([((0, 0), (1, 0), (2, 0)),
                                    ((0, 0), (1, 1), (2, 1)),
                                    ((0, 1), (1, 1), (2, 0))])
-    T = Train(Quasitrain(H, ((0, 1, 2), (0, 0, 0), (0, 0, 0))),
-              ({0, 1, 2}, ()))
+    T = Train(H, ((0, 1, 2), (0, 0, 0), (0, 0, 0)), ({0, 1, 2}, ()))
     assert validate_train(T) == []
     # a fresh level of single edges lifts the cycle to level two, which
     # reads the threshold g of the word (g, g) + bounds
