@@ -147,6 +147,8 @@ def _decide_and_witness(n_items: int, groups: Sequence[tuple[int, ...]],
     bad coloring exists, uses the canonical item order so the witness
     is the lexicographically least bad coloring overall.
     """
+    if not isinstance(r, int) or isinstance(r, bool):
+        raise InvalidArgument(f"number of colors must be an int, got {r!r}")
     if r < 1:
         raise InvalidArgument(f"number of colors must be positive, got {r}")
     membership = [0] * n_items
@@ -169,14 +171,20 @@ def _decide_and_witness(n_items: int, groups: Sequence[tuple[int, ...]],
 
 
 def _copy_arrows(system: CopySystem, r: int, budget: Budget | None,
-                 items: str) -> ArrowResult:
-    """Arrowing over the host's ``items`` (``"edge_sets"`` or
-    ``"vertices"``), each copy's group being its own ``items``."""
+                 on_edges: bool) -> ArrowResult:
+    """Arrowing over the host's edges (``on_edges``) or vertices, each
+    copy's group being its own edges or vertices.
+
+    A copy's edges are looked up as frozensets built here from
+    ``c.edges``, so no copy caches its ``edge_sets``: a system may hold
+    thousands of copies, and the search needs only their item indices.
+    """
     budget = budget or DEFAULT_BUDGET
     _require_copies_in_host(system)
-    host_items = getattr(system.host, items)
+    host_items = system.host.edge_sets if on_edges else system.host.vertices
     index = {x: i for i, x in enumerate(host_items)}
-    groups = [tuple(sorted(index[x] for x in getattr(c, items)))
+    groups = [tuple(sorted(index[x] for x in (map(frozenset, c.edges)
+                                              if on_edges else c.vertices)))
               for c in system.copies]
     ok, witness, explored = _decide_and_witness(
         len(host_items), groups, r, budget)
@@ -192,13 +200,13 @@ def edge_arrows(system: CopySystem, r: int,
     colorings align with the host's canonical edge order.  A copy that
     does not lie in the host raises ``InvalidArgument``.
     """
-    return _copy_arrows(system, r, budget, "edge_sets")
+    return _copy_arrows(system, r, budget, True)
 
 
 def vertex_arrows(system: CopySystem, r: int,
                   budget: Budget | None = None) -> ArrowResult:
     """Vertex-coloring analogue: some copy ends with all vertices alike."""
-    return _copy_arrows(system, r, budget, "vertices")
+    return _copy_arrows(system, r, budget, False)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +256,21 @@ def enumerate_lines(t: int, n: int) -> list[Line]:
     return lines
 
 
-def hj_line_property(t: int, n: int, r: int, budget: Budget,
+def hj_line_property(t: int, n: int, r: int,
+                     budget: Budget | None = None,
                      ) -> tuple[bool, tuple[int, ...] | None, int]:
     """Does every r-coloring of the n-cube over t letters contain a
-    monochromatic combinatorial line?"""
+    monochromatic combinatorial line?
+
+    ``t`` and ``n`` are nonnegative ints; anything else raises
+    ``InvalidArgument``, as does a number of colors ``r`` that is not a
+    positive int.
+    """
+    budget = budget or DEFAULT_BUDGET
+    for name, x in (("alphabet size t", t), ("dimension n", n)):
+        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+            raise InvalidArgument(
+                f"the {name} must be a nonnegative int, got {x!r}")
     groups = [tuple(word_index(w, t) for w in L.words(t))
               for L in enumerate_lines(t, n)]
     return _decide_and_witness(t ** n, groups, r, budget)
@@ -287,6 +306,8 @@ def min_product_ramsey(f: Mapping, m: int, r: int, cap: int = 16,
     exhaustively for every candidate M, ascending.
     """
     budget = budget or DEFAULT_BUDGET
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise InvalidArgument(f"pattern class size must be an int, got {m!r}")
     if m < max(f.values(), default=0):
         raise InvalidArgument(
             "pattern class size is below the per-edge class demand")

@@ -24,11 +24,12 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Any, Iterable, Mapping, Sequence
 
-from .core import (Edge, Hypergraph, Vertex, _canonical_cyclic,
-                   are_isomorphic, canonical_edge, ekey, is_linear,
-                   sort_vertices, validate, vkey)
+from .core import (Edge, Hypergraph, Vertex, _canonical_cyclic, _ints_only,
+                   _sort_edges, are_isomorphic, canonical_edge, ekey,
+                   is_linear, sort_vertices, validate, vkey)
 from .errors import InvalidArgument, PreconditionViolation
 
 # ---------------------------------------------------------------------------
@@ -48,15 +49,15 @@ class Copy:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        vs = sort_vertices(set(self.vertices))
-        es = sorted({canonical_edge(e) for e in self.edges}, key=ekey)
-        vset = set(vs)
+        vset = set(self.vertices)
+        vs = sort_vertices(vset)
+        es = _sort_edges(set(map(canonical_edge, self.edges)))
         for e in es:
             if not vset.issuperset(e):
                 raise InvalidArgument(
                     f"copy edge {e!r} is not within the copy's vertices")
         object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", tuple(es))
+        object.__setattr__(self, "edges", es)
 
     @classmethod
     def from_hypergraph(cls, F: Hypergraph) -> "Copy":
@@ -65,8 +66,8 @@ class Copy:
     @classmethod
     def of_edge(cls, e: Iterable[Vertex]) -> "Copy":
         """The edge copy: vertex set e, single edge e."""
-        ce = canonical_edge(e)
-        return cls(ce, (ce,))
+        e = tuple(e)
+        return cls(e, (e,))
 
     @cached_property
     def vertex_set(self) -> frozenset:
@@ -98,12 +99,24 @@ class Copy:
 
 
 def copy_of_embedding(emb) -> Copy:
-    vs, es = emb.image_key
-    return Copy(vs, es)
+    return Copy(emb.image_vertices, emb.image_edges)
 
 
 # ---------------------------------------------------------------------------
 # systems of copies
+
+
+def _sort_copies(cs: Iterable[Copy]) -> tuple[Copy, ...]:
+    """The copies in canonical order, that of ``Copy.key``.
+
+    When every vertex is exactly an ``int`` the vertex and edge tuples
+    are compared natively, which gives the same order (see
+    :func:`partite.core.sort_vertices`) without building ``Copy.key``.
+    """
+    cs = list(cs)
+    if _ints_only(itertools.chain.from_iterable(c.vertices for c in cs)):
+        return tuple(sorted(cs, key=attrgetter("vertices", "edges")))
+    return tuple(sorted(cs, key=lambda c: c.key))
 
 
 class _Members:
@@ -117,8 +130,9 @@ class _Members:
     """
 
     def __post_init__(self):
-        cs = sorted(set(self.copies), key=lambda c: c.key)
-        object.__setattr__(self, "copies", tuple(cs))
+        # deduplicated in the given order, which is often sorted already
+        object.__setattr__(self, "copies",
+                           _sort_copies(dict.fromkeys(self.copies)))
 
     @cached_property
     def real_set(self) -> frozenset:
@@ -129,7 +143,7 @@ class _Members:
         seen: dict[Copy, None] = dict.fromkeys(self.copies)
         for e in self.host.edges:
             seen.setdefault(Copy.of_edge(e))
-        return tuple(sorted(seen, key=lambda c: c.key))
+        return _sort_copies(seen)
 
     @cached_property
     def member_set(self) -> frozenset:
@@ -164,7 +178,7 @@ def _copy_problems(host: Hypergraph, copies: Iterable[Copy]) -> list[str]:
         if not host.vertex_set.issuperset(c.vertices):
             problems.append(
                 f"copy on {c.vertices!r} has vertices outside the host")
-        if not host.edge_family.issuperset(c.edge_sets):
+        if not host.edge_family.issuperset(map(frozenset, c.edges)):
             problems.append(
                 f"copy on {c.vertices!r} has edges outside the host")
     return problems
@@ -767,8 +781,8 @@ def _h_then_steps(cycle: CycleOfCopies) -> tuple:
 
 
 def _shared_edges(a: Copy, b: Copy) -> list[Connector]:
-    return [edge_connector(tuple(sorted(e, key=vkey)))
-            for e in sorted(a.edge_family & b.edge_family, key=ekey)]
+    fam = b.edge_family
+    return [edge_connector(e) for e in a.edges if frozenset(e) in fam]
 
 
 def enumerate_copy_cycles(system: CopySystem, bound,

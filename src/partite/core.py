@@ -49,7 +49,13 @@ def vkey(v: Vertex):
     members' keys); anything else falls back to its type name and repr.
     The key is what every canonical ordering in the package uses, so
     determinism of all outputs reduces to determinism of this function.
+
+    An exact ``int`` v, the common case, is tested first.  Its key
+    ``(0, v, 0)`` orders exactly as v does, which is why the sort
+    helpers (:func:`sort_vertices`) may sort such vertices natively.
     """
+    if type(v) is int:
+        return (0, v, 0)
     if isinstance(v, bool):
         # bool is a subclass of int; pin it down so True/1 don't collide
         return (0, int(v), 1)
@@ -67,17 +73,54 @@ def ekey(edge: Iterable[Vertex]):
     return tuple(vkey(v) for v in edge)
 
 
-def canonical_edge(edge: Iterable[Vertex]) -> Edge:
-    """The canonical (sorted, duplicate-checked) tuple form of an edge."""
-    vs = sorted(edge, key=vkey)
-    for a, b in zip(vs, vs[1:]):
-        if a == b:
-            raise InvalidArgument(f"edge {vs!r} repeats the vertex {a!r}")
-    return tuple(vs)
+_INT = frozenset((int,))
+
+
+def _ints_only(vs: Iterable[Vertex]) -> bool:
+    """True when every vertex is exactly an ``int`` (no bool, no other
+    subclass of int)."""
+    return _INT.issuperset(map(type, vs))
 
 
 def sort_vertices(vs: Iterable[Vertex]) -> tuple:
-    return tuple(sorted(vs, key=vkey))
+    """The vertices in canonical (:func:`vkey`) order.
+
+    When every vertex is exactly an ``int`` the list is sorted natively:
+    ``vkey`` maps such a vertex v to ``(0, v, 0)``, which orders exactly
+    as the integers do, so the order is the same and no key is built.
+    A ``bool`` or any other subclass of int goes through ``vkey``.
+    """
+    out = list(vs)
+    if len(out) > 1:
+        if _INT.issuperset(map(type, out)):
+            out.sort()
+        else:
+            out.sort(key=vkey)
+    return tuple(out)
+
+
+def _sort_edges(es: Iterable[Edge]) -> tuple[Edge, ...]:
+    """Edges given as canonical tuples, in canonical (:func:`ekey`)
+    order; natively, as with :func:`sort_vertices`, when every vertex
+    is exactly an ``int``."""
+    out = list(es)
+    if len(out) > 1:
+        if _INT.issuperset(map(type, itertools.chain.from_iterable(out))):
+            out.sort()
+        else:
+            out.sort(key=ekey)
+    return tuple(out)
+
+
+def canonical_edge(edge: Iterable[Vertex]) -> Edge:
+    """The canonical (sorted, duplicate-checked) tuple form of an edge."""
+    vs = sort_vertices(edge)
+    if len(set(vs)) != len(vs):
+        for a, b in zip(vs, vs[1:]):
+            if a == b:
+                raise InvalidArgument(
+                    f"edge {list(vs)!r} repeats the vertex {a!r}")
+    return vs
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +195,7 @@ def make_partition(classes: Mapping[Any, Iterable[Vertex]],
     When ``sizes`` is omitted every class gets size one (the k-partite
     k-uniform case).
     """
-    idx = tuple(sorted(classes, key=vkey))
+    idx = sort_vertices(classes)
     cls = tuple(tuple(classes[i]) for i in idx)
     if sizes is None:
         sz = tuple(1 for _ in idx)
@@ -193,14 +236,14 @@ class Hypergraph:
         vs = tuple(self.vertices)
         if len(set(vs)) != len(vs):
             raise InvalidArgument("vertex list contains duplicates")
-        es = sorted({canonical_edge(e) for e in self.edges}, key=ekey)
+        es = _sort_edges(set(map(canonical_edge, self.edges)))
         k = self.k
         if k is None and es:
             sizes = {len(e) for e in es}
             if len(sizes) == 1:
                 k = sizes.pop()
         object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", tuple(es))
+        object.__setattr__(self, "edges", es)
         object.__setattr__(self, "k", k)
 
     # -- cached views ------------------------------------------------------
@@ -417,6 +460,9 @@ def shortest_edge_cycle(obj: Hypergraph, bound: int) -> tuple | None:
     vertices of each edge in canonical order and the edges through a
     vertex by index, so the first cycle it closes is the witness.
     """
+    if not isinstance(bound, int):
+        raise InvalidArgument(
+            f"cycle length bound must be an int, got {bound!r}")
     if bound < 2:
         raise InvalidArgument(f"cycle length bound must be at least 2, got {bound}")
     edges = obj.edges
@@ -489,8 +535,10 @@ def girth_exceeds(obj: Hypergraph, g: int) -> bool:
     """True when the girth of ``obj`` exceeds ``g`` (no n-cycle, 2<=n<=g).
 
     ``g`` below 2 is vacuously true for well-formed input; negative
-    bounds are rejected.
+    bounds and bounds that are not ints are rejected.
     """
+    if not isinstance(g, int):
+        raise InvalidArgument(f"girth bound must be an int, got {g!r}")
     if g < 0:
         raise InvalidArgument(f"girth bound must be nonnegative, got {g}")
     if g < 2:
@@ -583,9 +631,8 @@ class Embedding:
     @cached_property
     def image_key(self) -> tuple:
         """Hashable identity of the image subhypergraph."""
-        return (tuple(sorted(self.image_vertices, key=vkey)),
-                tuple(sorted((tuple(sorted(e, key=vkey)) for e in self.image_edges),
-                             key=ekey)))
+        return (sort_vertices(self.image_vertices),
+                _sort_edges(map(sort_vertices, self.image_edges)))
 
 
 _MODES = ("nni", "induced", "fpartite")
@@ -613,25 +660,37 @@ def enumerate_copies(H: Hypergraph, F: Hypergraph, mode: str = "induced",
     one embedding per image subhypergraph (the canonical notion of a
     *copy*); turn it off to count embeddings instead.  Results come in a
     deterministic order.
+
+    A pattern vertex that shares an edge with a vertex placed before it
+    takes its candidates only from the host neighbours of that vertex's
+    image, in host order: any other host vertex would fail later on the
+    shared edge.  So a sparse host costs no full scan per placement,
+    and the embeddings come in the order of a full scan of the host.
     """
-    embeddings = _embeddings(H, F, mode, respect_order)
-    if not distinct_images:
-        return tuple(embeddings)
-    first: dict[tuple, Embedding] = {}
-    for emb in embeddings:
-        first.setdefault(emb.image_key, emb)
-    return tuple(first.values())
+    maps = _embeddings(H, F, mode, respect_order)
+    if distinct_images:
+        # the vertex and edge sets identify an image as image_key does
+        first: dict[tuple, tuple] = {}
+        for pairs, image in maps:
+            first.setdefault(image, pairs)
+        return tuple(Embedding(F, H, pairs) for pairs in first.values())
+    return tuple(Embedding(F, H, pairs) for pairs, _ in maps)
 
 
 def _embeddings(H: Hypergraph, F: Hypergraph, mode: str,
-                respect_order: bool) -> Iterator[Embedding]:
-    """The embeddings of ``enumerate_copies``, in its deterministic order.
+                respect_order: bool) -> Iterator[tuple[tuple, tuple]]:
+    """The embeddings of ``enumerate_copies``, in its deterministic order,
+    each as its ``pairs`` and its image's vertex and edge sets.
 
-    Pattern vertices are placed one at a time, high degree first; the
-    walk keeps in ``tried[i]`` how many host vertices it has tried for
-    pattern vertex ``i``, in host order, so it backtracks on an explicit
-    stack.  A pattern edge is checked as soon as its last vertex is
-    placed, and the induced condition once the map is complete.
+    Pattern vertices are placed one at a time, high degree first.  The
+    candidates for pattern vertex ``i`` are ``cands[i]``: the whole
+    host in host order, or, when ``anchor[i]`` is the first position
+    before ``i`` sharing an edge with it, the host neighbours of that
+    position's image in host order, each list built once per call.  The
+    walk keeps in ``tried[i]`` the index of the next candidate to try,
+    so it backtracks on an explicit stack.  A pattern edge is checked
+    as soon as its last vertex is placed, and the induced condition,
+    over the host edges through the image, once the map is complete.
     """
     if mode not in _MODES:
         raise InvalidArgument(f"unknown copy mode {mode!r}")
@@ -656,50 +715,65 @@ def _embeddings(H: Hypergraph, F: Hypergraph, mode: str,
         F.vertices,
         key=lambda v: (-F.degree(v), vkey(v)))
     pos_in_pattern = {v: i for i, v in enumerate(pattern)}
+    # the pattern vertices of each embedding's pairs, in canonical order
+    canon = sort_vertices(pattern)
 
-    # pattern edges become checkable as soon as their last vertex is placed
+    # pattern edges become checkable as soon as their last vertex is
+    # placed; anchor[i] is the first position sharing an edge with
+    # position i, or n when none before i does
+    n = len(pattern)
     edge_ready: list[list[Edge]] = [[] for _ in pattern]
+    anchor = [n] * n
     for e in F.edges:
-        last = max(pos_in_pattern[v] for v in e)
-        edge_ready[last].append(e)
+        at = sorted(pos_in_pattern[v] for v in e)
+        edge_ready[at[-1]].append(e)
+        for j in at[1:]:
+            anchor[j] = min(anchor[j], at[0])
 
     H_fam = H.edge_family
+    H_sets = H.edge_sets
     F_rank = F.vertex_rank
     H_rank = H.vertex_rank
-    host_order = list(H.vertices) if respect_order else \
-        sorted(H.vertices, key=vkey)
+    incident = H.incident_edges
+    host_order = H.vertices if respect_order else sort_vertices(H.vertices)
+    host_pos = H_rank if respect_order else \
+        {v: i for i, v in enumerate(host_order)}
+    neighbours: dict[Vertex, list] = {}
+    # an empty host edge lies inside every image but meets no vertex
+    empty = (frozenset(),) if frozenset() in H_fam else ()
 
-    n, hosts = len(pattern), len(host_order)
     assignment: dict[Vertex, Vertex] = {}
     used: set = set()
+    cands: list[Sequence[Vertex]] = [host_order] * n
     tried = [0] * (n + 1)
     i = 0
     while i >= 0:
         if i == n:
             i -= 1
-            emb = Embedding(
-                source=F, target=H,
-                pairs=tuple(sorted(assignment.items(),
-                                   key=lambda p: vkey(p[0]))))
+            img = frozenset(used)
+            img_edges = frozenset(frozenset(assignment[v] for v in e)
+                                  for e in F.edges)
             if want_induced:
-                img = emb.image_vertices
-                img_edges = emb.image_edges
-                if any(e <= img and e not in img_edges for e in H.edge_sets):
+                near = (H_sets[x] for v in img for x in incident[v])
+                if any(e <= img and e not in img_edges
+                       for e in itertools.chain(empty, near)):
                     continue
-            yield emb
+            yield tuple((v, assignment[v]) for v in canon), (img, img_edges)
             continue
         fv = pattern[i]
         if fv in assignment:
             used.remove(assignment.pop(fv))
         fdeg = F.degree(fv)
-        while tried[i] < hosts:
-            hv = host_order[tried[i]]
-            tried[i] += 1
+        hosts = cands[i]
+        k = tried[i]
+        while k < len(hosts):
+            hv = hosts[k]
+            k += 1
             if hv in used:
                 continue
             if class_of_F is not None and class_of_F[fv] != class_of_H[hv]:
                 continue
-            if H.degree(hv) < fdeg:
+            if len(incident[hv]) < fdeg:
                 continue
             if respect_order:
                 fr, hr = F_rank[fv], H_rank[hv]
@@ -710,22 +784,41 @@ def _embeddings(H: Hypergraph, F: Hypergraph, mode: str,
             if all(frozenset(assignment[v] for v in e) in H_fam
                    for e in edge_ready[i]):
                 used.add(hv)
+                tried[i] = k
                 i += 1
                 tried[i] = 0
+                if i < n and anchor[i] < n:
+                    cands[i] = _host_neighbours(
+                        H, assignment[pattern[anchor[i]]], host_pos,
+                        neighbours)
                 break
             del assignment[fv]
         else:
             i -= 1
 
 
+def _host_neighbours(H: Hypergraph, hv: Vertex, host_pos: Mapping,
+                     memo: dict) -> list:
+    """The vertices sharing an edge with ``hv``, by ``host_pos``, built
+    once per ``memo``."""
+    got = memo.get(hv)
+    if got is None:
+        ws = {w for x in H.incident_edges[hv] for w in H.edges[x]}
+        ws.discard(hv)
+        got = memo[hv] = sorted(ws, key=host_pos.__getitem__)
+    return got
+
+
 def find_isomorphism(F: Hypergraph, G: Hypergraph) -> Embedding | None:
     """An isomorphism F -> G, or ``None``.  Isolated vertices count."""
     if (F.num_vertices != G.num_vertices or F.num_edges != G.num_edges):
         return None
-    emb = next(_embeddings(G, F, "induced", False), None)
-    if emb is not None and len(emb.image_vertices) == G.num_vertices \
-            and emb.image_edges == set(G.edge_sets):
-        return emb
+    found = next(_embeddings(G, F, "induced", False), None)
+    if found is None:
+        return None
+    pairs, (img, img_edges) = found
+    if len(img) == G.num_vertices and img_edges == G.edge_family:
+        return Embedding(F, G, pairs)
     return None
 
 
@@ -772,7 +865,7 @@ def complete_multipartite(f: Mapping[Any, int], m: int) -> Hypergraph:
     Vertices are pairs (index, j); the edges are all sets meeting the
     class of index i in exactly f(i) vertices.
     """
-    idx = sorted(f, key=vkey)
+    idx = sort_vertices(f)
     classes = {i: tuple((i, j) for j in range(m)) for i in idx}
     for i in idx:
         if f[i] < 0:

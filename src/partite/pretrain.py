@@ -584,7 +584,7 @@ def _check_living(N: Hypergraph, H: Hypergraph) -> None:
     for f in N.edge_sets:
         inside = [x for x in f if any(x in e and e <= f for e in fam)]
         if len(inside) != len(f):
-            x = sorted(set(f) - set(inside), key=vkey)[0]
+            x = sort_vertices(set(f) - set(inside))[0]
             raise PreconditionViolation(
                 f"living clause (ii) fails: vertex {x!r} is isolated in "
                 f"the subhypergraph induced by a carrier edge")

@@ -135,6 +135,55 @@ def naive_strongly_induced_linear(F: Hypergraph, H: Hypergraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# copy enumeration by a scan of every injective map
+
+
+def naive_copies(H: Hypergraph, F: Hypergraph, mode: str,
+                 respect_order: bool = False, distinct_images: bool = True):
+    """``(pairs, image_key)`` of each result of ``enumerate_copies``, in
+    its order.
+
+    The pattern vertices are placed high degree first, ties by ``vkey``,
+    and each takes the host vertices in host order (the canonical order,
+    or the host's own order under ``respect_order``).  So the maps come
+    in the lexicographic order of ``itertools.permutations`` of the
+    host order, and every injective map is tried.  With
+    ``distinct_images`` the first map of each image stands for it.
+    """
+    pattern = sorted(F.vertices, key=lambda v: (-F.degree(v), vkey(v)))
+    hosts = (list(H.vertices) if respect_order
+             else sorted(H.vertices, key=vkey))
+    fam = H.edge_family
+    out, seen = [], set()
+    for image in itertools.permutations(hosts, len(pattern)):
+        m = dict(zip(pattern, image))
+        if mode == "fpartite" and any(
+                F.partite.index_of[v] != H.partite.index_of[m[v]]
+                for v in pattern):
+            continue
+        if respect_order and any(
+                (F.vertex_rank[u] < F.vertex_rank[v])
+                != (H.vertex_rank[m[u]] < H.vertex_rank[m[v]])
+                for u in pattern for v in pattern):
+            continue
+        edges = {frozenset(m[v] for v in e) for e in F.edges}
+        if not edges <= fam:
+            continue
+        verts = frozenset(image)
+        if mode == "induced" and any(e <= verts and e not in edges
+                                     for e in H.edge_sets):
+            continue
+        key = (tuple(sorted(verts, key=vkey)),
+               tuple(sorted((tuple(sorted(e, key=vkey)) for e in edges),
+                            key=lambda e: [vkey(v) for v in e])))
+        if distinct_images and key in seen:
+            continue
+        seen.add(key)
+        out.append((tuple(sorted(m.items(), key=lambda p: vkey(p[0]))), key))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # arrowing by full enumeration
 
 
