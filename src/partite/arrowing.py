@@ -7,12 +7,14 @@ r-coloring of the items leave some group monochromatic?  A coloring
 with no monochromatic group is called *bad* here; arrowing holds iff no
 bad coloring exists.
 
-The search runs twice on a failure: a first pass with a
-pruning-friendly item order decides the question, and only if a bad
-coloring exists a second pass in canonical item order finds the
-lexicographically least one, which is the witness contract of the whole
-package.  Groups without items are monochromatic under every coloring,
-so their presence makes arrowing trivially true.
+A first pass with a pruning-friendly item order decides the question.
+If a bad coloring exists, a second pass in canonical item order finds
+the lexicographically least one, which is the witness contract of the
+whole package.  When every item lies in equally many groups, the
+pruning-friendly order is the canonical one, so the first pass has
+already found that witness and the second does not run.  Groups without
+items are monochromatic under every coloring, so their presence makes
+arrowing trivially true.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ class ArrowResult:
     ``witness`` is a full bad coloring (a tuple of color numbers aligned
     with the canonical item order) when arrowing fails, else ``None``;
     it is always the lexicographically least bad coloring.  ``explored``
-    counts explored partial colorings across both passes.
+    counts explored partial colorings across the passes actually run:
+    the deciding pass, plus the canonical witness pass when arrowing
+    fails and the deciding order is not the canonical one.
     """
 
     arrows: bool
@@ -65,10 +69,16 @@ def _least_bad(n_items: int, groups: Sequence[tuple[int, ...]], r: int,
     first occurrences of colors in increasing order (permuting colors
     preserves badness), so the cap never skips it.
 
-    The walk keeps, for each depth down to the current one, the next
-    color to try there, the number of colors used above it and the
-    undo log of the color it holds now, as (group, previous color)
-    pairs.
+    The walk keeps, for each depth down to the current one, one above
+    the color its item holds (0 before the first try) and the number of
+    colors used above it.  Undo needs no log: ``colored[g]`` counts the
+    colored items of a group that is not mixed, ``mixed_at[g]`` is the
+    depth whose color made g mixed (-1 while it is not) and
+    ``mixed_from[g]`` its color before that.  Undoing a depth walks its
+    item's groups again: a group mixed at this depth gets its color
+    back, one not mixed loses a colored item (and is unset again at
+    none), and one mixed above this depth is skipped, as the forward
+    step skips it.
     """
     if any(not g for g in groups):
         return None, explored
@@ -83,74 +93,87 @@ def _least_bad(n_items: int, groups: Sequence[tuple[int, ...]], r: int,
     size = [len(g) for g in groups]
     colored = [0] * len(groups)
     color = [_UNSET] * len(groups)
-    coloring = [_UNSET] * n
+    mixed_at = [-1] * len(groups)
+    mixed_from = [_UNSET] * len(groups)
     check_nodes = budget.check_nodes
     next_color = [0] * n
     used = [0] * n
-    logs: list = [None] * n
     depth = 0 if n else -1
     while depth >= 0:
-        item = order[depth]
-        log = logs[depth]
-        if log is not None:
-            for gi, prev in log:
-                colored[gi] -= 1
-                if color[gi] == _MIXED and prev != _MIXED:
+        members = member_of[order[depth]]
+        c = next_color[depth]
+        if c:  # undo the color c - 1 held here
+            for gi in members:
+                at = mixed_at[gi]
+                if at == depth:
+                    mixed_at[gi] = -1
+                    color[gi] = mixed_from[gi]
                     alive += 1
-                color[gi] = prev
-            coloring[item] = _UNSET
-        c, u = next_color[depth], used[depth]
+                elif at < 0:
+                    k = colored[gi] - 1
+                    colored[gi] = k
+                    if not k:
+                        color[gi] = _UNSET
+        u = used[depth]
         if c > u or c == r:  # c reached min(r, u + 1): depth done
             depth -= 1
             continue
         next_color[depth] = c + 1
         explored += 1
         check_nodes(explored)
-        coloring[item] = c
-        logs[depth] = log = []
         dead_end = False
-        for gi in member_of[item]:
+        for gi in members:
             prev = color[gi]
-            if prev == _MIXED:
-                continue
-            log.append((gi, prev))
-            colored[gi] += 1
-            if prev == _UNSET:
+            if prev == c or prev == _UNSET:
                 color[gi] = c
-            elif prev != c:
+                k = colored[gi] + 1
+                colored[gi] = k
+                if k == size[gi]:
+                    dead_end = True
+            elif prev != _MIXED:
                 color[gi] = _MIXED
+                mixed_at[gi] = depth
+                mixed_from[gi] = prev
                 alive -= 1
-            if color[gi] != _MIXED and colored[gi] == size[gi]:
-                dead_end = True
         if dead_end:
             continue
         if alive == 0:
-            for pos in range(depth + 1, n):
-                coloring[order[pos]] = 0
+            coloring = [0] * n
+            for pos in range(depth + 1):
+                coloring[order[pos]] = next_color[pos] - 1
             return tuple(coloring), explored
         # alive > 0 at full depth means some group ended monochromatic
         if depth + 1 < n:
             depth += 1
             next_color[depth] = 0
             used[depth] = max(u, c + 1)
-            logs[depth] = None
     return None, explored
+
+
+def _require_int(what: str, x) -> None:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise InvalidArgument(f"{what} must be an int, got {x!r}")
+
+
+def _require_colors(r) -> None:
+    _require_int("number of colors", r)
+    if r < 1:
+        raise InvalidArgument(f"number of colors must be positive, got {r}")
 
 
 def _decide_and_witness(n_items: int, groups: Sequence[tuple[int, ...]],
                         r: int, budget: Budget,
                         ) -> tuple[bool, tuple[int, ...] | None, int]:
-    """Two-pass search: decide arrowing, then fetch the least witness.
+    """Decide arrowing and, when it fails, fetch the least witness.
 
     The deciding pass colors items in order of descending group
-    membership (stronger pruning); the witness pass, run only when a
-    bad coloring exists, uses the canonical item order so the witness
-    is the lexicographically least bad coloring overall.
+    membership (stronger pruning).  When a bad coloring exists, a
+    second pass in the canonical item order finds the lexicographically
+    least one.  When every item lies in equally many groups, the
+    deciding order is the canonical one and its answer is already the
+    least witness, so the second pass is not run.
     """
-    if not isinstance(r, int) or isinstance(r, bool):
-        raise InvalidArgument(f"number of colors must be an int, got {r!r}")
-    if r < 1:
-        raise InvalidArgument(f"number of colors must be positive, got {r}")
+    _require_colors(r)
     membership = [0] * n_items
     for g in groups:
         for item in g:
@@ -159,6 +182,8 @@ def _decide_and_witness(n_items: int, groups: Sequence[tuple[int, ...]],
     bad, explored = _least_bad(n_items, groups, r, fast_order, budget, 0)
     if bad is None:
         return True, None, explored
+    if fast_order == list(range(n_items)):
+        return False, bad, explored
     least, explored = _least_bad(n_items, groups, r, range(n_items), budget,
                                  explored)
     if least is None:
@@ -285,8 +310,8 @@ def min_hj_exponent(F: Hypergraph, r: int, cap: int = 12,
     if t < 1:
         raise InvalidArgument(
             "the line property needs at least one edge in the pattern")
-    if r < 1:
-        raise InvalidArgument(f"number of colors must be positive, got {r}")
+    _require_colors(r)
+    _require_int("the cap", cap)
     for n in range(1, cap + 1):
         ok, _, _ = hj_line_property(t, n, r, budget)
         if ok:
@@ -306,8 +331,10 @@ def min_product_ramsey(f: Mapping, m: int, r: int, cap: int = 16,
     exhaustively for every candidate M, ascending.
     """
     budget = budget or DEFAULT_BUDGET
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise InvalidArgument(f"pattern class size must be an int, got {m!r}")
+    _require_int("pattern class size", m)
+    _require_int("the cap", cap)
+    for demand in f.values():
+        _require_int("a class demand", demand)
     if m < max(f.values(), default=0):
         raise InvalidArgument(
             "pattern class size is below the per-edge class demand")

@@ -48,12 +48,20 @@ class Budget:
     """Machine-readable resource limits for the exhaustive searches.
 
     ``nodes`` bounds the number of explored partial colourings (the unit
-    used by the arrowing oracle); ``None`` means unlimited.  The search
-    of :func:`partite.arrowing.min_hj_exponent` is bounded by its own
-    ``cap``.
+    used by the arrowing oracle); ``None`` means unlimited.  Anything
+    but ``None`` or a nonnegative int raises ``InvalidArgument``.  The
+    search of :func:`partite.arrowing.min_hj_exponent` is bounded by its
+    own ``cap``.
     """
 
     nodes: int | None = 1 << 24
+
+    def __post_init__(self):
+        n = self.nodes
+        if n is not None and (not isinstance(n, int) or isinstance(n, bool)
+                              or n < 0):
+            raise InvalidArgument(
+                f"node budget must be None or a nonnegative int, got {n!r}")
 
     def check_nodes(self, spent: int) -> None:
         if self.nodes is not None and spent > self.nodes:

@@ -17,9 +17,11 @@ from partite import (Budget, BudgetExceeded, Copy, CopySystem, Hypergraph,
                      InvalidArgument, complete_graph, edge_arrows,
                      enumerate_copies, enumerate_lines, hj_line_property,
                      min_hj_exponent, min_product_ramsey, vertex_arrows)
+from partite import arrowing
 from oracles import (naive_edge_arrows, naive_hj_line_property,
                      naive_min_hj_exponent, naive_vertex_arrows,
                      random_copy_system)
+from test_core import cycle_graph
 
 TWO_EDGE_MATCHING = Hypergraph(
     ("u", "v", "w", "z"), (("u", "v"), ("w", "z")), k=2)
@@ -32,6 +34,23 @@ def triangle_system(n):
         Copy(emb.image_key[0], emb.image_key[1])
         for emb in enumerate_copies(host, pattern, mode="nni"))
     return CopySystem(host, copies)
+
+
+def path_system(m):
+    """The path with m edges and its two-edge subpaths as copies."""
+    P = Hypergraph(tuple(range(m + 1)), tuple((i, i + 1) for i in range(m)))
+    return CopySystem(P, tuple(
+        Copy((i, i + 1, i + 2), ((i, i + 1), (i + 1, i + 2)))
+        for i in range(m - 1)))
+
+
+def progression_system(n, k):
+    """The k-term arithmetic progressions in range(n) as vertex copies."""
+    aps = tuple(tuple(a + i * d for i in range(k))
+                for a in range(n) for d in range(1, n)
+                if a + (k - 1) * d < n)
+    H = Hypergraph(tuple(range(n)), aps, k=k)
+    return CopySystem(H, tuple(Copy.of_edge(ap) for ap in aps))
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +109,7 @@ def test_vertex_arrowing_matches_chromatic_number():
 def test_long_path_is_searched_without_recursion():
     # one item per depth: 1500 edges are deeper than the recursion limit
     m = 1500
-    P = Hypergraph(tuple(range(m + 1)), tuple((i, i + 1) for i in range(m)))
-    S = CopySystem(P, tuple(
-        Copy((i, i + 1, i + 2), ((i, i + 1), (i + 1, i + 2)))
-        for i in range(m - 1)))
-    res = edge_arrows(S, 2)
+    res = edge_arrows(path_system(m), 2)
     assert not res.arrows
     assert res.witness == tuple(i % 2 for i in range(m))
 
@@ -148,6 +163,110 @@ def test_adding_copies_preserves_arrowing():
 def test_budget_exhaustion_raises():
     with pytest.raises(BudgetExceeded):
         edge_arrows(triangle_system(6), 2, budget=Budget(nodes=3))
+
+
+# explored partial colorings; K5 and K8 fail with every edge in equally
+# many triangles, so their deciding pass is also the witness pass
+@pytest.mark.parametrize("search, explored", [
+    pytest.param(lambda: edge_arrows(triangle_system(6), 2).explored, 987,
+                 id="K6 r=2"),
+    pytest.param(lambda: vertex_arrows(progression_system(35, 4), 2).explored,
+                 20639, id="AP4 in [35] r=2"),
+    pytest.param(lambda: vertex_arrows(progression_system(26, 3), 3).explored,
+                 54768, id="AP3 in [26] r=3"),
+    pytest.param(lambda: hj_line_property(3, 3, 2)[2], 474, id="HJ(3,3,2)"),
+    pytest.param(lambda: edge_arrows(path_system(1500), 2).explored, 4500,
+                 id="P1500 r=2"),
+    pytest.param(lambda: edge_arrows(triangle_system(5), 2).explored, 71,
+                 id="K5 r=2"),
+    pytest.param(lambda: edge_arrows(triangle_system(8), 3).explored, 87726,
+                 id="K8 r=3"),
+])
+def test_explored_counts_are_pinned(search, explored):
+    assert search() == explored
+
+
+def test_budget_boundary_is_the_last_explored_node():
+    res = edge_arrows(triangle_system(6), 2, budget=Budget(nodes=987))
+    assert res.arrows and res.explored == 987
+    with pytest.raises(BudgetExceeded) as info:
+        edge_arrows(triangle_system(6), 2, budget=Budget(nodes=986))
+    assert (info.value.spent, info.value.budget) == (987, 986)
+    assert str(info.value) == "search budget exhausted after 987 explored states"
+
+
+def test_zero_and_unlimited_budgets_are_accepted():
+    assert edge_arrows(triangle_system(6), 2, budget=Budget(nodes=None)).arrows
+    with pytest.raises(BudgetExceeded):
+        edge_arrows(triangle_system(6), 2, budget=Budget(nodes=0))
+
+
+def counting_passes(monkeypatch):
+    """Record the item order of every ``_least_bad`` pass."""
+    orders = []
+    least_bad = arrowing._least_bad
+
+    def counting(n_items, groups, r, order, budget, explored):
+        orders.append(list(order))
+        return least_bad(n_items, groups, r, order, budget, explored)
+
+    monkeypatch.setattr(arrowing, "_least_bad", counting)
+    return orders
+
+
+def two_edge_paths_of_cycle(n):
+    C = cycle_graph(n)
+    return CopySystem(C, tuple(
+        Copy((i, (i + 1) % n, (i + 2) % n),
+             ((i, (i + 1) % n), ((i + 1) % n, (i + 2) % n)))
+        for i in range(n)))
+
+
+def edges_of_cycle(n):
+    C = cycle_graph(n)
+    return CopySystem(C, tuple(Copy.of_edge(e) for e in C.edges))
+
+
+# every item lies in equally many copies: one pass decides and witnesses
+EQUAL_MEMBERSHIP = {
+    "triangles of K_n": (edge_arrows, naive_edge_arrows, triangle_system),
+    "edges of C_n": (vertex_arrows, naive_vertex_arrows, edges_of_cycle),
+    "two-edge paths of C_n": (edge_arrows, naive_edge_arrows,
+                              two_edge_paths_of_cycle),
+}
+
+
+@pytest.mark.parametrize("name, n, r", [
+    (name, n, r)
+    for name, ns in (("triangles of K_n", (4, 5)),
+                     ("edges of C_n", (3, 4, 5, 6, 7)),
+                     ("two-edge paths of C_n", (3, 4, 5, 6, 7)))
+    for n in ns for r in (2, 3)])
+def test_equal_membership_skips_the_replay_and_matches_the_oracle(
+        monkeypatch, name, n, r):
+    arrows, naive, build = EQUAL_MEMBERSHIP[name]
+    system = build(n)
+    orders = counting_passes(monkeypatch)
+    res = arrows(system, r)
+    assert (res.arrows, res.witness) == naive(system, r)
+    assert len(orders) == 1
+
+
+def test_canonical_pass_runs_once_per_failure_with_mixed_membership(
+        monkeypatch):
+    orders = counting_passes(monkeypatch)
+    assert not edge_arrows(triangle_system(5), 2).arrows
+    assert len(orders) == 1
+    orders.clear()
+    # the end edges of a path lie in one two-edge path, the others in two
+    system = path_system(6)
+    res = edge_arrows(system, 2)
+    assert (res.arrows, res.witness) == naive_edge_arrows(system, 2)
+    assert orders[1] == list(range(6)) != orders[0]
+    assert len(orders) == 2
+    orders.clear()
+    assert edge_arrows(triangle_system(6), 2).arrows
+    assert len(orders) == 1
 
 
 def test_copy_outside_the_host_is_named():

@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 from partite import (Budget, Copy, CopySystem, Hypergraph, InvalidArgument,
                      are_isomorphic, complete_graph, complete_multipartite,
                      edge_arrows, enumerate_copies, girth_exceeds,
-                     hj_line_property, make_partition, min_product_ramsey,
-                     shortest_edge_cycle, vertex_arrows, vkey)
+                     hj_line_property, make_partition, min_hj_exponent,
+                     min_product_ramsey, shortest_edge_cycle, vertex_arrows,
+                     vkey)
 from partite.core import _sort_edges, canonical_edge, ekey, sort_vertices
 from oracles import naive_copies, random_hypergraph
 
@@ -246,6 +247,22 @@ K4_SYSTEM = CopySystem(complete_graph(4), ())
      "girth bound must be an int, got '3'"),
     (lambda: min_product_ramsey({0: 1, 1: 1}, 1.5, 2),
      "pattern class size must be an int, got 1.5"),
+    (lambda: min_product_ramsey({0: 1, 1: 1}, 2, 2, cap=2.5),
+     "the cap must be an int, got 2.5"),
+    (lambda: min_product_ramsey({0: 1.5, 1: 1}, 2, 2),
+     "a class demand must be an int, got 1.5"),
+    (lambda: min_hj_exponent(complete_graph(3), 2, cap=2.5),
+     "the cap must be an int, got 2.5"),
+    (lambda: min_hj_exponent(complete_graph(3), "3"),
+     "number of colors must be an int, got '3'"),
+    (lambda: Budget(nodes="x"),
+     "node budget must be None or a nonnegative int, got 'x'"),
+    (lambda: Budget(nodes=1.0),
+     "node budget must be None or a nonnegative int, got 1.0"),
+    (lambda: Budget(nodes=True),
+     "node budget must be None or a nonnegative int, got True"),
+    (lambda: Budget(nodes=-1),
+     "node budget must be None or a nonnegative int, got -1"),
 ])
 def test_counts_and_bounds_must_be_ints(call, message):
     with pytest.raises(InvalidArgument) as info:
