@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from .core import Hypergraph, complete_multipartite, enumerate_copies
 from .copies import CopySystem, _require_copies_in_host, copy_of_embedding
-from .errors import Budget, BudgetExceeded, InvalidArgument
+from .errors import Budget, BudgetExceeded, InvalidArgument, _require_int
 
 DEFAULT_BUDGET = Budget()
 
@@ -148,11 +148,6 @@ def _least_bad(n_items: int, groups: Sequence[tuple[int, ...]], r: int,
             next_color[depth] = 0
             used[depth] = max(u, c + 1)
     return None, explored
-
-
-def _require_int(what: str, x) -> None:
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise InvalidArgument(f"{what} must be an int, got {x!r}")
 
 
 def _require_colors(r) -> None:
@@ -331,6 +326,7 @@ def min_product_ramsey(f: Mapping, m: int, r: int, cap: int = 16,
     exhaustively for every candidate M, ascending.
     """
     budget = budget or DEFAULT_BUDGET
+    _require_colors(r)
     _require_int("pattern class size", m)
     _require_int("the cap", cap)
     for demand in f.values():

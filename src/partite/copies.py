@@ -25,12 +25,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .core import (Edge, Hypergraph, Vertex, _canonical_cyclic, _ints_only,
                    _sort_edges, are_isomorphic, canonical_edge, ekey,
                    is_linear, sort_vertices, validate, vkey)
-from .errors import InvalidArgument, PreconditionViolation
+from .errors import InvalidArgument, PreconditionViolation, _require_int
 
 # ---------------------------------------------------------------------------
 # copies
@@ -168,6 +168,10 @@ class CopySystem(_Members):
     host: Hypergraph
     copies: tuple[Copy, ...]
     pattern: Hypergraph | None = None
+
+    def _link(self, e: Edge) -> Connector:
+        """What ``e`` lends the members holding it: its edge connector."""
+        return edge_connector(e)
 
 
 def _copy_problems(host: Hypergraph, copies: Iterable[Copy]) -> list[str]:
@@ -534,49 +538,57 @@ def master_copies(system: CopySystem, cycle: CycleOfCopies,
     For each master the lexicographically least exemplifying family is
     returned, keyed by the replaced positions.
     """
-    out: list[tuple[Copy, Mapping[int, Edge]]] = []
-    candidates = sorted(set(cycle.copies), key=lambda c: c.key)
-    for star in candidates:
-        family = _exemplifying_family(system, cycle, star)
-        if family is not None:
-            out.append((star, family))
-    return tuple(out)
+    return tuple(_stars(system, cycle, _master))
 
 
 def has_master(system: CopySystem, cycle: CycleOfCopies) -> bool:
-    return bool(master_copies(system, cycle))
+    return next(_stars(system, cycle, _master), None) is not None
 
 
 def find_master_copy(system: CopySystem, cycle: CycleOfCopies,
                      ) -> tuple[Copy, Mapping[int, Edge]] | None:
     """First master copy with its collapse family, or None.
 
-    The cycle must be valid for the system; candidates are tried in
-    canonical copy order and the collapse family is the least one, so
-    the result is deterministic.
+    The cycle must be valid for the system.  Candidates are tried in
+    canonical copy order and the search stops at the first master, so
+    the result is the first entry of :func:`master_copies`.
     """
     problems = check_copy_cycle(system, cycle)
     if problems:
         raise InvalidArgument("not a cycle of copies: " + "; ".join(problems))
-    masters = master_copies(system, cycle)
-    return masters[0] if masters else None
+    return next(_stars(system, cycle, _master), None)
 
 
-def _exemplifying_family(system: CopySystem, cycle: CycleOfCopies,
-                         star: Copy) -> dict[int, Edge] | None:
-    """Least family replacing all non-star copies, or None."""
-    n = cycle.length
+def _stars(system, cycle: CycleOfCopies, collapse) -> Iterator:
+    """``collapse(system, cycle, star)`` for each distinct copy of the
+    cycle in canonical copy order, where it is not None.  Lazy: a caller
+    that stops at the first star collapses no later one."""
+    for star in _sort_copies(set(cycle.copies)):
+        got = collapse(system, cycle, star)
+        if got is not None:
+            yield got
 
-    def options_at(i: int) -> list:
-        flanks = (cycle.connectors[(i - 1) % n], cycle.connectors[i])
-        return [(f, (Copy.of_edge(f),), ())
-                for f, fs in zip(star.edges, star.edge_sets)
-                if all(q.value in fs if q.is_vertex
-                       else frozenset(q.value) == fs for q in flanks)]
 
-    got = _least_collapse(cycle, star, options_at, CycleOfCopies,
-                          lambda c: check_copy_cycle(system, c))
-    return None if got is None else got[0]
+def _master(system: CopySystem, cycle: CycleOfCopies,
+            star: Copy) -> tuple[Copy, dict[int, Edge]] | None:
+    """``star`` and its least family replacing the other copies, or None."""
+    got = _least_collapse(
+        cycle, star,
+        lambda i: [(f, (Copy.of_edge(f),), ())
+                   for f in _joined_edges(system, cycle, star, i)],
+        CycleOfCopies, lambda c: check_copy_cycle(system, c))
+    return None if got is None else (star, got[0])
+
+
+def _joined_edges(system, cycle: CycleOfCopies, star: Copy,
+                  i: int) -> list[Edge]:
+    """The edges of ``star`` that both connectors flanking position i
+    join: a vertex connector by lying in one, any other by being its link."""
+    out = star.edges
+    for q in (cycle.connectors[i - 1], cycle.connectors[i]):
+        out = [f for f in out
+               if (q.value in f if q.is_vertex else system._link(f) == q)]
+    return out
 
 
 def _least_collapse(cycle: CycleOfCopies, star: Copy, options_at,
@@ -656,13 +668,14 @@ def _least_collapse(cycle: CycleOfCopies, star: Copy, options_at,
 
 def normalize_girth_bound(bound) -> tuple[int, int]:
     """Accept an integer g (meaning the pair (g, 2g)) or a pair (g, n)
-    of integers; anything else raises ``InvalidArgument``."""
-    if isinstance(bound, int):
+    of integers; anything else, a bool too, raises ``InvalidArgument``."""
+    if isinstance(bound, int) and not isinstance(bound, bool):
         if bound < 1:
             raise InvalidArgument(f"girth bound must be positive, got {bound}")
         return (bound, 2 * bound)
     if not (isinstance(bound, (tuple, list)) and len(bound) == 2
-            and all(isinstance(x, int) for x in bound)):
+            and all(isinstance(x, int) and not isinstance(x, bool)
+                    for x in bound)):
         raise InvalidArgument(
             f"a girth bound is an int or a pair of ints, got {bound!r}")
     g, n = bound
@@ -678,23 +691,22 @@ def _max_cycle_length(bound: tuple[int, int]) -> int:
     return max(2 * (g - 1), min(n, 2 * g))
 
 
-def _closing_walks(members: Sequence[Copy], links, make, keep,
-                   bound: tuple[int, int],
+def _closing_walks(system, make, keep, bound: tuple[int, int],
                    max_len: int) -> tuple[CycleOfCopies, ...]:
     """Every cycle with h at most ``bound`` that a closing walk through
-    ``members`` makes and ``keep`` accepts, once each, ordered by h and
-    then lexicographically.
+    the members of ``system`` makes and ``keep`` accepts, once each,
+    ordered by h and then lexicographically.
 
     A walk starts at some member, goes on only to members of index at
     least the start, never stays at a member and never reuses a
-    connector; it has at most ``max_len`` steps.  The connectors
-    between two members are their shared vertices followed by
-    ``links(a, b)``.  They are numbered once per call, and ``moves[i]``
-    holds a (member index, connector id) pair for each connector out of
-    member i, by member index.  The walk runs on an explicit stack:
-    ``tried[d]`` counts the moves tried out of ``walk[d]``, and
-    ``twice[d]`` is twice the order that the copies strictly inside
-    ``walk[:d + 1]`` add.
+    connector; it has at most ``max_len`` steps.  Members, indexed by
+    their vertices and the links ``system._link(e)`` of their edges,
+    join through what they share, in ``Connector.key`` order.  The
+    connectors are numbered once per call, and ``moves[i]`` holds a
+    (member index, connector id) pair for each connector out of member
+    i, by member index.  The walk runs on an explicit stack: ``tried[d]``
+    counts the moves tried out of ``walk[d]``, and ``twice[d]`` is twice
+    the order that the copies strictly inside ``walk[:d + 1]`` add.
 
     A walk back to its start after at least two steps closes a cycle.
     Its h comes from the kinds of its connectors before any cycle is
@@ -707,20 +719,25 @@ def _closing_walks(members: Sequence[Copy], links, make, keep,
     of the walk add at least 1/2 each.  A walk is not extended once
     that lower bound exceeds the order g of ``bound = (g, n)``.
     """
+    members = system.members
     twice_g = 2 * bound[0]
+    holders: dict[Connector, list[int]] = {}
+    shared: dict[tuple[int, int], list[Connector]] = {}
+    for i, c in enumerate(members):
+        for q in {*map(vertex_connector, c.vertices),
+                  *map(system._link, c.edges)}:
+            for j in holders.setdefault(q, []):
+                shared.setdefault((j, i), []).append(q)
+            holders[q].append(i)
     ids: dict[Connector, int] = {}
     joints: dict[tuple[int, int], tuple[int, ...]] = {}
     moves: list[list[tuple[int, int]]] = [[] for _ in members]
-    for i, j in itertools.combinations(range(len(members)), 2):
-        a, b = members[i], members[j]
-        joined = [vertex_connector(v)
-                  for v in sort_vertices(a.vertex_set & b.vertex_set)]
-        joined += links(a, b)
-        if joined:
-            got = tuple(ids.setdefault(q, len(ids)) for q in joined)
-            joints[i, j] = joints[j, i] = got
-            moves[i] += ((j, q) for q in got)
-            moves[j] += ((i, q) for q in got)
+    for i, j in sorted(shared):
+        got = tuple(ids.setdefault(q, len(ids))
+                    for q in sorted(shared[i, j], key=attrgetter("key")))
+        joints[i, j] = joints[j, i] = got
+        moves[i] += ((j, q) for q in got)
+        moves[j] += ((i, q) for q in got)
     connectors = list(ids)
     kinds = [q.kind for q in connectors]
 
@@ -780,11 +797,6 @@ def _h_then_steps(cycle: CycleOfCopies) -> tuple:
     return (cycle.h, tuple((c.key, q.key) for c, q in cycle.steps))
 
 
-def _shared_edges(a: Copy, b: Copy) -> list[Connector]:
-    fam = b.edge_family
-    return [edge_connector(e) for e in a.edges if frozenset(e) in fam]
-
-
 def enumerate_copy_cycles(system: CopySystem, bound,
                           notion: str = "tidy") -> tuple[CycleOfCopies, ...]:
     """All cycles with h at most ``bound`` satisfying the notion.
@@ -803,8 +815,8 @@ def enumerate_copy_cycles(system: CopySystem, bound,
             return is_tidy(system, cyc)
         return notion == "all" or is_semitidy(system, cyc)
 
-    return _closing_walks(system.members, _shared_edges, CycleOfCopies,
-                          keep, gb, _max_cycle_length(gb))
+    return _closing_walks(system, CycleOfCopies, keep, gb,
+                          _max_cycle_length(gb))
 
 
 def girth_of_system_witness(system: CopySystem, bound,
@@ -843,7 +855,6 @@ def semitidy_equivalence_check(system: CopySystem, g: int) -> bool:
     Exhaustively evaluates both readings of the threshold; a mismatch
     would expose an implementation bug, never a property of the input.
     """
-    if not isinstance(g, int):
-        raise InvalidArgument("the equivalence check takes a scalar bound")
+    _require_int("the bound of the equivalence check", g)
     return (girth_of_system_exceeds(system, g, notion="tidy")
             == girth_of_system_exceeds(system, g, notion="semitidy"))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import InvalidArgument, PreconditionViolation
+from .errors import InvalidArgument, PreconditionViolation, _require_int
 
 Vertex = Any
 Edge = tuple  # canonically sorted tuple of vertices
@@ -460,9 +460,7 @@ def shortest_edge_cycle(obj: Hypergraph, bound: int) -> tuple | None:
     vertices of each edge in canonical order and the edges through a
     vertex by index, so the first cycle it closes is the witness.
     """
-    if not isinstance(bound, int):
-        raise InvalidArgument(
-            f"cycle length bound must be an int, got {bound!r}")
+    _require_int("cycle length bound", bound)
     if bound < 2:
         raise InvalidArgument(f"cycle length bound must be at least 2, got {bound}")
     edges = obj.edges
@@ -531,16 +529,19 @@ def _find_cycle_of_length(obj: Hypergraph, moves: Sequence[list],
     return None
 
 
+def _require_girth_bound(g) -> None:
+    _require_int("girth bound", g)
+    if g < 0:
+        raise InvalidArgument(f"girth bound must be nonnegative, got {g}")
+
+
 def girth_exceeds(obj: Hypergraph, g: int) -> bool:
     """True when the girth of ``obj`` exceeds ``g`` (no n-cycle, 2<=n<=g).
 
     ``g`` below 2 is vacuously true for well-formed input; negative
     bounds and bounds that are not ints are rejected.
     """
-    if not isinstance(g, int):
-        raise InvalidArgument(f"girth bound must be an int, got {g!r}")
-    if g < 0:
-        raise InvalidArgument(f"girth bound must be nonnegative, got {g}")
+    _require_girth_bound(g)
     if g < 2:
         return True
     return shortest_edge_cycle(obj, g) is None
@@ -865,9 +866,11 @@ def complete_multipartite(f: Mapping[Any, int], m: int) -> Hypergraph:
     Vertices are pairs (index, j); the edges are all sets meeting the
     class of index i in exactly f(i) vertices.
     """
+    _require_int("the class size m", m)
     idx = sort_vertices(f)
     classes = {i: tuple((i, j) for j in range(m)) for i in idx}
     for i in idx:
+        _require_int("a class demand", f[i])
         if f[i] < 0:
             raise InvalidArgument("class sizes must be nonnegative")
         if f[i] > m:

@@ -43,6 +43,12 @@ class BudgetExceeded(PartiteError, RuntimeError):
         self.budget = budget
 
 
+def _require_int(what: str, x) -> None:
+    """Raise ``InvalidArgument`` unless ``x`` is an int and not a bool."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise InvalidArgument(f"{what} must be an int, got {x!r}")
+
+
 @dataclass(frozen=True)
 class Budget:
     """Machine-readable resource limits for the exhaustive searches.

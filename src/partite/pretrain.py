@@ -26,13 +26,14 @@ from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
 
 from .core import (Edge, Hypergraph, Vertex, _canonical_cyclic,
-                   canonical_edge, ekey, is_linear, is_strongly_induced,
-                   require_valid, shortest_edge_cycle, sort_vertices,
-                   validate, vkey)
+                   _require_girth_bound, canonical_edge, ekey, is_linear,
+                   is_strongly_induced, require_valid, shortest_edge_cycle,
+                   sort_vertices, validate, vkey)
 from .copies import (Connector, Copy, CycleClass, CycleOfCopies,
                      _adjacent_coverable, _closing_walks, _copy_problems,
-                     _least_collapse, _Members, _require_copies_in_host)
-from .errors import InvalidArgument, PreconditionViolation
+                     _joined_edges, _least_collapse, _Members,
+                     _require_copies_in_host, _stars)
+from .errors import InvalidArgument, PreconditionViolation, _require_int
 
 # ---------------------------------------------------------------------------
 # pretrains and wagons
@@ -278,8 +279,7 @@ def frak_girth_pretrain_witness(P: Pretrain, g: int) -> tuple | None:
         raise PreconditionViolation(
             "the wagon girth of a pretrain is defined over linear "
             "hypergraphs only")
-    if g < 0:
-        raise InvalidArgument(f"girth bound must be nonnegative, got {g}")
+    _require_girth_bound(g)
     if g < 2:
         return None
     return _wagon_cycle(P.hypergraph.vertices, P.wagons, g)
@@ -632,7 +632,8 @@ class PretrainCopySystem(_Members):
     Copies are plain vertex/edge sets; their wagon structure is the
     restriction of the base relation, which determines it completely.
     The edge copies of the host take part in big cycles alongside the
-    listed copies.
+    listed copies.  Members join through shared vertices and through
+    wagons they both meet, not through shared edges (:meth:`_link`).
     """
 
     base: Pretrain
@@ -642,10 +643,9 @@ class PretrainCopySystem(_Members):
     def host(self) -> Hypergraph:
         return self.base.hypergraph
 
-    @cached_property
-    def _wagons_meeting(self) -> Mapping[Copy, frozenset]:
-        return {c: frozenset(self.base.wagon_of(e) for e in c.edges)
-                for c in self.members}
+    def _link(self, e: Edge) -> Connector:
+        """What ``e`` lends the members holding it: its wagon's connector."""
+        return wagon_connector(self.base.wagon_of(e))
 
 
 def validate_pretrain_system(system: PretrainCopySystem) -> list[str]:
@@ -845,22 +845,13 @@ class SupremeWitness:
     replacement: BigCycle
 
 
-def _flank_fits(base: Pretrain, q: Connector, f: Edge) -> bool:
-    if q.is_vertex:
-        return q.value in f
-    return base.wagon_of(f) == q.value
-
-
 def _piece_options(system: PretrainCopySystem, cycle: BigCycle,
                    star: Copy, i: int) -> list[tuple]:
     """The pieces of ``star`` that may replace the copy at position i,
     in canonical piece order, as options of the collapse backtracker."""
     base = system.base
-    n = cycle.length
-    left = cycle.connectors[(i - 1) % n]
-    right = cycle.connectors[i]
-    out = [short_piece(f) for f in star.edges
-           if _flank_fits(base, left, f) and _flank_fits(base, right, f)]
+    left, right = cycle.connectors[i - 1], cycle.connectors[i]
+    out = [short_piece(f) for f in _joined_edges(system, cycle, star, i)]
     if left.is_vertex and right.is_vertex:
         pair = {left.value, right.value}
         # a long piece is admissible only where no host edge covers both
@@ -882,6 +873,8 @@ def _piece_options(system: PretrainCopySystem, cycle: BigCycle,
 def _piece_family(system: PretrainCopySystem, cycle: BigCycle,
                   star: Copy) -> SupremeWitness | None:
     """Least family of pieces collapsing all non-star copies, or None."""
+    if not system.is_real(star):
+        return None
     got = _least_collapse(cycle, star,
                           lambda i: _piece_options(system, cycle, star, i),
                           BigCycle, lambda c: check_big_cycle(system, c))
@@ -897,18 +890,11 @@ def supreme_copies(system: PretrainCopySystem,
     the result is again a big cycle; long pieces are admitted only
     between two vertex connectors not covered by a common host edge.
     """
-    out = []
-    candidates = sorted({c for c in cycle.copies if system.is_real(c)},
-                        key=lambda c: c.key)
-    for star in candidates:
-        got = _piece_family(system, cycle, star)
-        if got is not None:
-            out.append(got)
-    return tuple(out)
+    return tuple(_stars(system, cycle, _piece_family))
 
 
 def has_supreme(system: PretrainCopySystem, cycle: BigCycle) -> bool:
-    return bool(supreme_copies(system, cycle))
+    return next(_stars(system, cycle, _piece_family), None) is not None
 
 
 def find_supreme_copy(system: PretrainCopySystem,
@@ -917,15 +903,14 @@ def find_supreme_copy(system: PretrainCopySystem,
 
     The cycle must be acceptable; candidates are real copies occurring
     in it, tried in canonical copy order with pieces in canonical piece
-    order, so the result is deterministic.
+    order, up to the first supreme copy: the first of :func:`supreme_copies`.
     """
     got = classify_big_cycle(system, cycle)
     if got.status != "acceptable":
         raise PreconditionViolation(
             "supreme copies are sought in acceptable cycles only; "
             "this one is " + got.status)
-    found = supreme_copies(system, cycle)
-    return found[0] if found else None
+    return next(_stars(system, cycle, _piece_family), None)
 
 
 # ---------------------------------------------------------------------------
@@ -1013,17 +998,13 @@ def enumerate_big_cycles(system: PretrainCopySystem, g: int,
     """
     if notion not in ("acceptable", "valid"):
         raise InvalidArgument(f"unknown big-cycle notion {notion!r}")
-    if g < 0:
-        raise InvalidArgument(f"girth bound must be nonnegative, got {g}")
+    _require_girth_bound(g)
     max_len = 2 * g if max_length is None else max_length
+    _require_int("the maximum length", max_len)
     if g < 1 or max_len < 2:
         return ()
-    meeting = system._wagons_meeting
     return _closing_walks(
-        system.members,
-        lambda a, b: [wagon_connector(w)
-                      for w in sorted(meeting[a] & meeting[b])],
-        BigCycle,
+        system, BigCycle,
         lambda cyc: (notion == "valid"
                      or not _acceptability_problems(system, cyc)),
         (g, 2 * g), max_len)
@@ -1055,8 +1036,7 @@ def frak_Girth_witness(system: PretrainCopySystem,
     ``InvalidArgument``.
     """
     _require_copies_in_host(system)
-    if g < 0:
-        raise InvalidArgument(f"girth bound must be nonnegative, got {g}")
+    _require_girth_bound(g)
     base = system.base
     if not is_linear(base.hypergraph):
         return FrakGirthFailure("the underlying hypergraph is not linear")

@@ -29,7 +29,7 @@ from typing import Any, Iterable, Sequence
 from .core import (Edge, Hypergraph, PartiteStructure, Vertex, is_linear,
                    require_valid, sort_vertices)
 from .copies import Copy, _copy_problems, _Members
-from .errors import InvalidArgument, PreconditionViolation
+from .errors import InvalidArgument, PreconditionViolation, _require_int
 from .pretrain import (FrakGirthFailure, Pretrain, PretrainCopySystem, Wagon,
                        _canonical_wagon_cycle, _normalize_ids, _wagon_cycle,
                        contraction_map, frak_Girth_witness, is_extension,
@@ -45,8 +45,9 @@ def _girth_bounds(bounds) -> tuple[int, ...]:
         raise InvalidArgument(
             "a girth sequence is built from an iterable of bounds; wrap a "
             "single bound in a tuple")
-    gs = tuple(int(g) for g in bounds)
+    gs = tuple(bounds)
     for g in gs:
+        _require_int("a girth bound", g)
         if g < 2:
             raise InvalidArgument(f"girth bounds start at two, got {g}")
     return gs
@@ -577,6 +578,7 @@ def verify_revision(T: Train, candidate: Quasitrain,
         raise InvalidArgument(
             "revisions are defined for partite-uniform trains, with every "
             "edge meeting every class once")
+    _require_int("the girth threshold", g)
     if g < 2:
         raise InvalidArgument(f"the girth threshold starts at two, got {g}")
     gs = _girth_bounds(bounds)

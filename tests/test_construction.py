@@ -18,13 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partite import (Budget, Copy, CopySystem, Hypergraph, InvalidArgument,
-                     are_isomorphic, complete_graph, complete_multipartite,
-                     edge_arrows, enumerate_copies, girth_exceeds,
-                     hj_line_property, make_partition, min_hj_exponent,
-                     min_product_ramsey, shortest_edge_cycle, vertex_arrows,
-                     vkey)
+                     Pretrain, PretrainCopySystem, Quasitrain, are_isomorphic,
+                     complete_graph, complete_multipartite, edge_arrows,
+                     enumerate_big_cycles, enumerate_copies,
+                     frak_girth_pretrain_witness, frak_Girth_witness,
+                     frak_girth_seq_witness, girth_exceeds, hj_line_property,
+                     make_partition, min_hj_exponent, min_product_ramsey,
+                     semitidy_equivalence_check, shortest_edge_cycle,
+                     verify_revision, vertex_arrows, vkey)
 from partite.core import _sort_edges, canonical_edge, ekey, sort_vertices
-from oracles import naive_copies, random_hypergraph
+from oracles import naive_copies, random_hypergraph, random_partite_train
 
 
 class Hue(IntEnum):
@@ -226,6 +229,11 @@ def test_edge_arrowing_caches_no_copy_edge_sets():
 
 
 K4_SYSTEM = CopySystem(complete_graph(4), ())
+K4_PRETRAIN = Pretrain.singletons(complete_graph(4))
+K4_PRETRAIN_SYSTEM = PretrainCopySystem(K4_PRETRAIN, ())
+PATH = Quasitrain(Hypergraph((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3)), k=2),
+                  ((0, 1, 2), (0, 1, 0), (0, 0, 0)))
+TRAIN = random_partite_train(random.Random(0), m=2)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -245,6 +253,36 @@ K4_SYSTEM = CopySystem(complete_graph(4), ())
      "cycle length bound must be an int, got 2.5"),
     (lambda: girth_exceeds(complete_graph(3), "3"),
      "girth bound must be an int, got '3'"),
+    (lambda: girth_exceeds(complete_graph(3), True),
+     "girth bound must be an int, got True"),
+    (lambda: shortest_edge_cycle(complete_graph(3), True),
+     "cycle length bound must be an int, got True"),
+    (lambda: frak_Girth_witness(K4_PRETRAIN_SYSTEM, 2.5),
+     "girth bound must be an int, got 2.5"),
+    (lambda: frak_Girth_witness(K4_PRETRAIN_SYSTEM, "2"),
+     "girth bound must be an int, got '2'"),
+    (lambda: enumerate_big_cycles(K4_PRETRAIN_SYSTEM, 2.5),
+     "girth bound must be an int, got 2.5"),
+    (lambda: enumerate_big_cycles(K4_PRETRAIN_SYSTEM, 2, max_length="3"),
+     "the maximum length must be an int, got '3'"),
+    (lambda: frak_girth_pretrain_witness(K4_PRETRAIN, "3"),
+     "girth bound must be an int, got '3'"),
+    (lambda: frak_girth_seq_witness(PATH, (5.9,)),
+     "a girth bound must be an int, got 5.9"),
+    (lambda: frak_girth_seq_witness(PATH, ("x",)),
+     "a girth bound must be an int, got 'x'"),
+    (lambda: verify_revision(TRAIN, TRAIN, [TRAIN.parameter[0]], 2.5, (2,)),
+     "the girth threshold must be an int, got 2.5"),
+    (lambda: semitidy_equivalence_check(K4_SYSTEM, (2, 3)),
+     "the bound of the equivalence check must be an int, got (2, 3)"),
+    (lambda: semitidy_equivalence_check(K4_SYSTEM, True),
+     "the bound of the equivalence check must be an int, got True"),
+    (lambda: complete_multipartite({0: 1.5, 1: 1}, 2),
+     "a class demand must be an int, got 1.5"),
+    (lambda: complete_multipartite({0: 1, 1: 1}, "2"),
+     "the class size m must be an int, got '2'"),
+    (lambda: min_product_ramsey({0: 2}, 3, "x", cap=2),
+     "number of colors must be an int, got 'x'"),
     (lambda: min_product_ramsey({0: 1, 1: 1}, 1.5, 2),
      "pattern class size must be an int, got 1.5"),
     (lambda: min_product_ramsey({0: 1, 1: 1}, 2, 2, cap=2.5),

@@ -264,6 +264,21 @@ def test_two_cycle_masters_are_both_copies():
     assert masters == sorted([F1, F2], key=lambda c: c.key)
 
 
+def test_master_search_stops_at_the_first_master(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return least_collapse(*args)
+
+    least_collapse = copies._least_collapse
+    monkeypatch.setattr(copies, "_least_collapse", counting)
+    two = CycleOfCopies(((F1, vertex_connector("x")),
+                         (F2, vertex_connector("a"))))
+    assert has_master(star_system(), two)
+    assert len(calls) == 1
+
+
 def test_edge_copies_never_breed_masters_here():
     system = star_system()
     cyc = CycleOfCopies((
@@ -306,8 +321,11 @@ def test_masters_match_brute_force(seed):
                                 max_copies=3)
     cycles = enumerate_copy_cycles(system, (3, 4), notion="all")
     for cyc in cycles[:12]:
-        got = [m for m, _ in master_copies(system, cyc)]
-        assert got == naive_masters(system, cyc)
+        masters = master_copies(system, cyc)
+        assert [m for m, _ in masters] == naive_masters(system, cyc)
+        assert has_master(system, cyc) == bool(masters)
+        assert find_master_copy(system, cyc) == (
+            masters[0] if masters else None)
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +379,15 @@ def test_system_girth_reads_tidy_or_semitidy_cycles_only():
         girth_of_system_witness(star_system(), 2, notion="all")
 
 
-@pytest.mark.parametrize("bound", [(2, 3, 4), "ab", 2.5, (2.7, 5), (2,)])
+@pytest.mark.parametrize("bound", [(2, 3, 4), "ab", 2.5, (2.7, 5), (2,),
+                                   True, (True, 2)])
 def test_malformed_girth_bounds_are_rejected(bound):
     with pytest.raises(InvalidArgument,
                        match="a girth bound is an int or a pair of ints"):
         normalize_girth_bound(bound)
+    with pytest.raises(InvalidArgument,
+                       match="a girth bound is an int or a pair of ints"):
+        girth_of_system_witness(star_system(), bound)
 
 
 def test_system_cycle_search_does_not_recurse():

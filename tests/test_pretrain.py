@@ -28,9 +28,11 @@ from partite import (BigCycle, Copy, Hypergraph, InvalidArgument,
                      short_piece, subpretrain, supreme_copies,
                      validate_pretrain_system, vertex_connector,
                      wagon_assimilation, wagon_connector)
+from partite import pretrain
 from oracles import (naive_big_cycles, naive_is_acceptable, naive_supremes,
                      naive_wagon_girth_exceeds, random_copy_system,
                      random_pretrain, random_pretrain_system, random_subcopy)
+from test_copies import F1, F2, star_host
 
 # ---------------------------------------------------------------------------
 # fixtures
@@ -794,6 +796,18 @@ def test_big_cycle_enumeration_matches_brute_force(seed):
         c for c in brute if naive_is_acceptable(sys, c)}
 
 
+def test_members_meeting_one_wagon_join_through_it():
+    # the edges {0, 1} and {2, 3} share no vertex, only their wagon
+    H = Hypergraph((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3)))
+    sys = PretrainCopySystem(Pretrain(H, (0, 1, 0)), ())
+    cyc = BigCycle(((Copy.of_edge((0, 1)), wagon_connector(0)),
+                    (Copy.of_edge((2, 3)), vertex_connector(2)),
+                    (Copy.of_edge((1, 2)), vertex_connector(1))))
+    got = enumerate_big_cycles(sys, 2, notion="valid")
+    assert cyc in got
+    assert set(got) == naive_big_cycles(sys, 2, 4)
+
+
 def test_big_cycles_of_order_three_match_brute_force():
     sizes, orders = set(), set()
     for seed in range(80):
@@ -888,8 +902,33 @@ def test_supreme_search_matches_brute_force(seed):
     sys = random_pretrain_system(rng, max_vertices=6, max_edges=4,
                                  max_copies=2)
     for cyc in enumerate_big_cycles(sys, 2):
-        assert [w.copy for w in supreme_copies(sys, cyc)] == \
-            naive_supremes(sys, cyc)
+        supremes = supreme_copies(sys, cyc)
+        assert [w.copy for w in supremes] == naive_supremes(sys, cyc)
+        assert has_supreme(sys, cyc) == bool(supremes)
+        # witnesses compare by identity, so compare their fields
+        first = find_supreme_copy(sys, cyc)
+        if supremes:
+            assert vars(first) == vars(supremes[0])
+        else:
+            assert first is None
+
+
+def test_supreme_search_stops_at_the_first_supreme_copy(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return least_collapse(*args)
+
+    least_collapse = pretrain._least_collapse
+    monkeypatch.setattr(pretrain, "_least_collapse", counting)
+    # both copies hold the edge {x, a} that joins their connectors
+    sys = PretrainCopySystem(Pretrain.singletons(star_host()), (F1, F2))
+    two = BigCycle(((F1, vertex_connector("x")), (F2, vertex_connector("a"))))
+    assert [w.copy for w in supreme_copies(sys, two)] == [F1, F2]
+    calls.clear()
+    assert has_supreme(sys, two)
+    assert len(calls) == 1
 
 
 @settings(max_examples=25, deadline=None)
