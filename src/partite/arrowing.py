@@ -200,7 +200,7 @@ def _copy_arrows(system: CopySystem, r: int, budget: Budget | None,
     thousands of copies, and the search needs only their item indices.
     """
     budget = budget or DEFAULT_BUDGET
-    _require_copies_in_host(system)
+    _require_copies_in_host(system.host, system.copies)
     host_items = system.host.edge_sets if on_edges else system.host.vertices
     index = {x: i for i, x in enumerate(host_items)}
     groups = [tuple(sorted(index[x] for x in (map(frozenset, c.edges)

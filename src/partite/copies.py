@@ -103,163 +103,6 @@ def copy_of_embedding(emb) -> Copy:
 
 
 # ---------------------------------------------------------------------------
-# systems of copies
-
-
-def _sort_copies(cs: Iterable[Copy]) -> tuple[Copy, ...]:
-    """The copies in canonical order, that of ``Copy.key``.
-
-    When every vertex is exactly an ``int`` the vertex and edge tuples
-    are compared natively, which gives the same order (see
-    :func:`partite.core.sort_vertices`) without building ``Copy.key``.
-    """
-    cs = list(cs)
-    if _ints_only(itertools.chain.from_iterable(c.vertices for c in cs)):
-        return tuple(sorted(cs, key=attrgetter("vertices", "edges")))
-    return tuple(sorted(cs, key=lambda c: c.key))
-
-
-class _Members:
-    """Membership shared by systems of copies, pretrain copies and
-    quasitrain copies.
-
-    ``copies`` is deduplicated and put in canonical order.  The members
-    are the listed copies together with every edge copy of the host.
-    Realness is a matter of shape: a listed copy consisting of a single
-    edge and nothing else counts as an edge copy, not a real one.
-    """
-
-    def __post_init__(self):
-        # deduplicated in the given order, which is often sorted already
-        object.__setattr__(self, "copies",
-                           _sort_copies(dict.fromkeys(self.copies)))
-
-    @cached_property
-    def real_set(self) -> frozenset:
-        return frozenset(c for c in self.copies if not c.is_edge_shaped)
-
-    @cached_property
-    def members(self) -> tuple[Copy, ...]:
-        seen: dict[Copy, None] = dict.fromkeys(self.copies)
-        for e in self.host.edges:
-            seen.setdefault(Copy.of_edge(e))
-        return _sort_copies(seen)
-
-    @cached_property
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
-
-    def is_real(self, c: Copy) -> bool:
-        return c in self.real_set
-
-    def is_member(self, c: Copy) -> bool:
-        return c in self.member_set
-
-
-@dataclass(frozen=True)
-class CopySystem(_Members):
-    """A host hypergraph together with its copies.
-
-    Every edge copy of the host is a member.  ``pattern`` optionally
-    records the hypergraph the copies are copies of; validation then
-    checks each listed copy is isomorphic to it.
-    """
-
-    host: Hypergraph
-    copies: tuple[Copy, ...]
-    pattern: Hypergraph | None = None
-
-    def _link(self, e: Edge) -> Connector:
-        """What ``e`` lends the members holding it: its edge connector."""
-        return edge_connector(e)
-
-
-def _copy_problems(host: Hypergraph, copies: Iterable[Copy]) -> list[str]:
-    """One problem for each copy with vertices outside the host and one
-    for each copy with edges outside it."""
-    problems = []
-    for c in copies:
-        if not host.vertex_set.issuperset(c.vertices):
-            problems.append(
-                f"copy on {c.vertices!r} has vertices outside the host")
-        if not host.edge_family.issuperset(map(frozenset, c.edges)):
-            problems.append(
-                f"copy on {c.vertices!r} has edges outside the host")
-    return problems
-
-
-def _require_copies_in_host(system: _Members) -> None:
-    problems = _copy_problems(system.host, system.copies)
-    if problems:
-        raise InvalidArgument("; ".join(problems))
-
-
-def validate_system(system: CopySystem) -> list[str]:
-    """Structural problems of a system of copies; empty list when fine."""
-    problems = validate(system.host)
-    for c in system.copies:
-        problems += _copy_problems(system.host, (c,))
-        if system.pattern is not None:
-            if not are_isomorphic(c.as_hypergraph(k=system.pattern.k),
-                                  system.pattern):
-                problems.append(
-                    f"copy on {c.vertices!r} is not isomorphic to the pattern")
-    return problems
-
-
-# ---------------------------------------------------------------------------
-# clean intersections
-
-
-def clean_intersection_violation(system: CopySystem,
-                                 ) -> tuple[Copy, Copy] | None:
-    """First pair of real copies whose intersection is not clean.
-
-    A pair is clean when some edge of the one and some edge of the
-    other intersect in exactly the vertex intersection of the two
-    copies.  The quantifier is read literally, so copies without edges
-    fail against any other copy.
-    """
-    cs = system.copies
-    for a, b in itertools.combinations(cs, 2):
-        cut = a.vertex_set & b.vertex_set
-        if not any((ea & eb) == cut
-                   for ea in a.edge_sets for eb in b.edge_sets):
-            return (a, b)
-    return None
-
-
-def has_clean_intersections(system: CopySystem) -> bool:
-    """Pairwise intersections of real copies are intersections of edges."""
-    return clean_intersection_violation(system) is None
-
-
-def clean_intersections_linear_form(system: CopySystem) -> bool:
-    """Equivalent three-clause test, valid for linear hosts.
-
-    (a) if two copies share at least two vertices, the shared set is a
-    common edge of both; (b) if they share exactly one vertex, that
-    vertex is non-isolated in both; (c) both copies have an edge.
-    Used as an independent cross-check of the direct quantifier form.
-    """
-    if not is_linear(system.host):
-        raise PreconditionViolation(
-            "the three-clause form applies to linear hosts only")
-    for a, b in itertools.combinations(system.copies, 2):
-        if not (a.edges and b.edges):
-            return False
-        cut = a.vertex_set & b.vertex_set
-        if len(cut) >= 2:
-            if cut not in a.edge_family or cut not in b.edge_family:
-                return False
-        elif len(cut) == 1:
-            (x,) = cut
-            if not (a.non_isolated(x) and b.non_isolated(x)):
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # connectors and cycles of copies
 
 
@@ -386,14 +229,130 @@ class CycleOfCopies:
                      if self.connectors[i].value in f)
 
 
-def check_copy_cycle(system: CopySystem, cycle: CycleOfCopies) -> list[str]:
-    """Violations of the cycle-of-copies conditions, empty when valid.
+# ---------------------------------------------------------------------------
+# systems of copies
 
-    Checks that every copy is a member of the system, cyclic
-    distinctness of consecutive copies, distinctness of the connectors,
-    and that each connector joins its two neighbours (a vertex
-    connector lies in both copies, an edge connector is an edge of
-    both, and no other kind of connector joins copies).
+
+def _sort_copies(cs: Iterable[Copy]) -> tuple[Copy, ...]:
+    """The copies in canonical order, that of ``Copy.key``.
+
+    When every vertex is exactly an ``int`` the vertex and edge tuples
+    are compared natively, which gives the same order (see
+    :func:`partite.core.sort_vertices`) without building ``Copy.key``.
+    """
+    cs = list(cs)
+    if _ints_only(itertools.chain.from_iterable(c.vertices for c in cs)):
+        return tuple(sorted(cs, key=attrgetter("vertices", "edges")))
+    return tuple(sorted(cs, key=lambda c: c.key))
+
+
+class _Members:
+    """Membership shared by systems of copies, pretrain copies and
+    quasitrain copies.
+
+    ``copies`` is deduplicated and put in canonical order.  The members
+    are the listed copies together with every edge copy of the host.
+    Realness is a matter of shape: a listed copy consisting of a single
+    edge and nothing else counts as an edge copy, not a real one.
+    """
+
+    def __post_init__(self):
+        # deduplicated in the given order, which is often sorted already
+        object.__setattr__(self, "copies",
+                           _sort_copies(dict.fromkeys(self.copies)))
+
+    @cached_property
+    def real_set(self) -> frozenset:
+        return frozenset(c for c in self.copies if not c.is_edge_shaped)
+
+    @cached_property
+    def members(self) -> tuple[Copy, ...]:
+        seen: dict[Copy, None] = dict.fromkeys(self.copies)
+        for e in self.host.edges:
+            seen.setdefault(Copy.of_edge(e))
+        return _sort_copies(seen)
+
+    @cached_property
+    def member_set(self) -> frozenset:
+        return frozenset(self.members)
+
+    def is_real(self, c: Copy) -> bool:
+        return c in self.real_set
+
+    def is_member(self, c: Copy) -> bool:
+        return c in self.member_set
+
+    @cached_property
+    def _joined(self) -> dict[Connector, set]:
+        """The host edges, as sets, that each connector joins: a vertex
+        those through it, any other those lending it as ``_link(e)``."""
+        out: dict[Connector, set] = {}
+        for e, f in zip(self.host.edges, self.host.edge_sets):
+            for q in (*map(vertex_connector, e), self._link(e)):
+                out.setdefault(q, set()).add(f)
+        return out
+
+
+@dataclass(frozen=True)
+class CopySystem(_Members):
+    """A host hypergraph together with its copies.
+
+    Every edge copy of the host is a member.  ``pattern`` optionally
+    records the hypergraph the copies are copies of; validation then
+    checks each listed copy is isomorphic to it.
+    """
+
+    host: Hypergraph
+    copies: tuple[Copy, ...]
+    pattern: Hypergraph | None = None
+
+    _cycle = CycleOfCopies   # the cycles through the members
+
+    def _link(self, e: Edge) -> Connector:
+        """What ``e`` lends the members holding it: its edge connector."""
+        return edge_connector(e)
+
+
+def _copy_problems(host: Hypergraph, copies: Iterable[Copy]) -> list[str]:
+    """One problem for each copy with vertices outside the host and one
+    for each copy with edges outside it."""
+    problems = []
+    for c in copies:
+        if not host.vertex_set.issuperset(c.vertices):
+            problems.append(
+                f"copy on {c.vertices!r} has vertices outside the host")
+        if not host.edge_family.issuperset(map(frozenset, c.edges)):
+            problems.append(
+                f"copy on {c.vertices!r} has edges outside the host")
+    return problems
+
+
+def _require_copies_in_host(host: Hypergraph, copies: Iterable[Copy]) -> None:
+    problems = _copy_problems(host, copies)
+    if problems:
+        raise InvalidArgument("; ".join(problems))
+
+
+def validate_system(system: CopySystem) -> list[str]:
+    """Structural problems of a system of copies; empty list when fine."""
+    problems = validate(system.host)
+    for c in system.copies:
+        problems += _copy_problems(system.host, (c,))
+        if system.pattern is not None:
+            if not are_isomorphic(c.as_hypergraph(k=system.pattern.k),
+                                  system.pattern):
+                problems.append(
+                    f"copy on {c.vertices!r} is not isomorphic to the pattern")
+    return problems
+
+
+def check_copy_cycle(system, cycle: CycleOfCopies) -> list[str]:
+    """Violations of the cycle conditions, empty when valid.
+
+    The clause list of every system, so of big cycles too: every copy
+    is a member, cyclically consecutive copies differ, the connectors
+    are distinct, and each connector joins its two neighbours
+    (:func:`_joins`).
     """
     problems: list[str] = []
     n = cycle.length
@@ -409,25 +368,73 @@ def check_copy_cycle(system: CopySystem, cycle: CycleOfCopies) -> list[str]:
                 f"coincide")
     if len(set(cycle.connectors)) != n:
         problems.append("connectors are not distinct")
-    for i in range(n):
-        q = cycle.connectors[i]
+    for i, q in enumerate(cycle.connectors):
         a, b = cycle.copies[i], cycle.copies[(i + 1) % n]
-        if q.is_vertex:
-            if not (q.value in a.vertex_set and q.value in b.vertex_set):
-                problems.append(
-                    f"vertex connector {q.value!r} at position {i} does "
-                    f"not lie in both neighbouring copies")
-        elif q.is_edge:
-            fs = frozenset(q.value)
-            if not (fs in a.edge_family and fs in b.edge_family):
-                problems.append(
-                    f"edge connector {q.value!r} at position {i} is not "
-                    f"an edge of both neighbouring copies")
-        else:
+        if not (_joins(system, q, a) and _joins(system, q, b)):
             problems.append(
-                f"{q.kind} connector {q.value!r} at position {i} is "
-                f"neither a vertex nor an edge")
+                f"{q.kind} connector {q.value!r} at position {i} does not "
+                f"join both neighbouring copies")
     return problems
+
+
+def _joins(system, q: Connector, c: Copy) -> bool:
+    """Whether ``q`` joins the copy ``c``: a vertex connector by lying in
+    it, any other by being the link ``system._link(f)`` of an edge f."""
+    if q.is_vertex:
+        return q.value in c.vertex_set
+    return not system._joined.get(q, frozenset()).isdisjoint(c.edge_family)
+
+
+# ---------------------------------------------------------------------------
+# clean intersections
+
+
+def clean_intersection_violation(system: CopySystem,
+                                 ) -> tuple[Copy, Copy] | None:
+    """First pair of real copies whose intersection is not clean.
+
+    A pair is clean when some edge of the one and some edge of the
+    other intersect in exactly the vertex intersection of the two
+    copies.  The quantifier is read literally, so copies without edges
+    fail against any other copy.
+    """
+    cs = system.copies
+    for a, b in itertools.combinations(cs, 2):
+        cut = a.vertex_set & b.vertex_set
+        if not any((ea & eb) == cut
+                   for ea in a.edge_sets for eb in b.edge_sets):
+            return (a, b)
+    return None
+
+
+def has_clean_intersections(system: CopySystem) -> bool:
+    """Pairwise intersections of real copies are intersections of edges."""
+    return clean_intersection_violation(system) is None
+
+
+def clean_intersections_linear_form(system: CopySystem) -> bool:
+    """Equivalent three-clause test, valid for linear hosts.
+
+    (a) if two copies share at least two vertices, the shared set is a
+    common edge of both; (b) if they share exactly one vertex, that
+    vertex is non-isolated in both; (c) both copies have an edge.
+    Used as an independent cross-check of the direct quantifier form.
+    """
+    if not is_linear(system.host):
+        raise PreconditionViolation(
+            "the three-clause form applies to linear hosts only")
+    for a, b in itertools.combinations(system.copies, 2):
+        if not (a.edges and b.edges):
+            return False
+        cut = a.vertex_set & b.vertex_set
+        if len(cut) >= 2:
+            if cut not in a.edge_family or cut not in b.edge_family:
+                return False
+        elif len(cut) == 1:
+            (x,) = cut
+            if not (a.non_isolated(x) and b.non_isolated(x)):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +543,14 @@ def master_copies(system: CopySystem, cycle: CycleOfCopies,
     of a different copy can be replaced by an edge copy of some edge of
     F* so that the result is again a cycle of copies (same connectors).
     For each master the lexicographically least exemplifying family is
-    returned, keyed by the replaced positions.
+    returned, keyed by the replaced positions.  The cycle must be valid
+    for the system.
     """
-    return tuple(_stars(system, cycle, _master))
+    return tuple(_masters(system, cycle))
 
 
 def has_master(system: CopySystem, cycle: CycleOfCopies) -> bool:
-    return next(_stars(system, cycle, _master), None) is not None
+    return next(_masters(system, cycle), None) is not None
 
 
 def find_master_copy(system: CopySystem, cycle: CycleOfCopies,
@@ -553,16 +561,21 @@ def find_master_copy(system: CopySystem, cycle: CycleOfCopies,
     canonical copy order and the search stops at the first master, so
     the result is the first entry of :func:`master_copies`.
     """
+    return next(_masters(system, cycle), None)
+
+
+def _masters(system: CopySystem, cycle: CycleOfCopies) -> Iterator:
+    """The masters of a valid cycle, lazily; an invalid cycle raises."""
     problems = check_copy_cycle(system, cycle)
     if problems:
         raise InvalidArgument("not a cycle of copies: " + "; ".join(problems))
-    return next(_stars(system, cycle, _master), None)
+    return _stars(system, cycle, _master)
 
 
 def _stars(system, cycle: CycleOfCopies, collapse) -> Iterator:
     """``collapse(system, cycle, star)`` for each distinct copy of the
     cycle in canonical copy order, where it is not None.  Lazy: a caller
-    that stops at the first star collapses no later one."""
+    that stops at the first star collapses no later one.  Unchecked."""
     for star in _sort_copies(set(cycle.copies)):
         got = collapse(system, cycle, star)
         if got is not None:
@@ -573,26 +586,24 @@ def _master(system: CopySystem, cycle: CycleOfCopies,
             star: Copy) -> tuple[Copy, dict[int, Edge]] | None:
     """``star`` and its least family replacing the other copies, or None."""
     got = _least_collapse(
-        cycle, star,
+        system, cycle, star,
         lambda i: [(f, (Copy.of_edge(f),), ())
-                   for f in _joined_edges(system, cycle, star, i)],
-        CycleOfCopies, lambda c: check_copy_cycle(system, c))
+                   for f in _joined_edges(system, cycle, star, i)])
     return None if got is None else (star, got[0])
 
 
 def _joined_edges(system, cycle: CycleOfCopies, star: Copy,
                   i: int) -> list[Edge]:
     """The edges of ``star`` that both connectors flanking position i
-    join: a vertex connector by lying in one, any other by being its link."""
-    out = star.edges
-    for q in (cycle.connectors[i - 1], cycle.connectors[i]):
-        out = [f for f in out
-               if (q.value in f if q.is_vertex else system._link(f) == q)]
-    return out
+    join: the rule of :func:`_joins` for the edge copies of host edges."""
+    left, right = (system._joined.get(q, frozenset())
+                   for q in (cycle.connectors[i - 1], cycle.connectors[i]))
+    return [e for e, f in zip(star.edges, star.edge_sets)
+            if f in left and f in right]
 
 
-def _least_collapse(cycle: CycleOfCopies, star: Copy, options_at,
-                    make, check) -> tuple[dict, CycleOfCopies] | None:
+def _least_collapse(system, cycle: CycleOfCopies, star: Copy,
+                    options_at) -> tuple[dict, CycleOfCopies] | None:
     """The least collapse of every non-star copy of the cycle, or None.
 
     ``options_at(i)`` lists, in order of preference, the ways to
@@ -603,9 +614,9 @@ def _least_collapse(cycle: CycleOfCopies, star: Copy, options_at,
     copies of the collapse must differ and the introduced connectors
     must be new.  ``first[i]`` and ``last[i]`` hold the first and last
     copy at position i after the collapse, ``None`` while it is
-    undecided.  The collapse, spliced with ``make``, must pass
-    ``check`` with no problem.  Returns the chosen labels keyed by
-    position together with the collapse.
+    undecided.  The collapse, spliced as a ``system._cycle``, must pass
+    :func:`check_copy_cycle`, the clause list of every system.  Returns
+    the chosen labels keyed by position together with the collapse.
     """
     n = cycle.length
     positions = [i for i in range(n) if cycle.copies[i] != star]
@@ -655,9 +666,9 @@ def _least_collapse(cycle: CycleOfCopies, star: Copy, options_at,
             steps += zip(run, links + (q,))
         else:
             steps.append((c, q))
-    replaced = make(tuple(steps))
+    replaced = system._cycle(tuple(steps))
     # paranoia: the collapse must be a genuine cycle
-    if check(replaced):
+    if check_copy_cycle(system, replaced):
         return None
     return {i: got[0] for i, got in by_position.items()}, replaced
 
@@ -691,7 +702,7 @@ def _max_cycle_length(bound: tuple[int, int]) -> int:
     return max(2 * (g - 1), min(n, 2 * g))
 
 
-def _closing_walks(system, make, keep, bound: tuple[int, int],
+def _closing_walks(system, keep, bound: tuple[int, int],
                    max_len: int) -> tuple[CycleOfCopies, ...]:
     """Every cycle with h at most ``bound`` that a closing walk through
     the members of ``system`` makes and ``keep`` accepts, once each,
@@ -711,8 +722,8 @@ def _closing_walks(system, make, keep, bound: tuple[int, int],
     A walk back to its start after at least two steps closes a cycle.
     Its h comes from the kinds of its connectors before any cycle is
     built, and a walk over the bound is dropped.  Every other cycle is
-    built once by ``make``, which canonicalises it, and ``keep`` is
-    asked about it once, however many walks close it.
+    built once by ``system._cycle``, which canonicalises it, and ``keep``
+    is asked about it once, however many walks close it.
 
     A copy whose two flanking connectors are placed adds a fixed 1
     (pure) or 1/2 (mixed) to the order, and the two copies at the ends
@@ -786,8 +797,8 @@ def _closing_walks(system, make, keep, bound: tuple[int, int],
                 if key in seen:
                     continue
                 seen.add(key)
-                cyc = make(tuple((members[i], connectors[c])
-                                 for i, c in steps))
+                cyc = system._cycle(tuple((members[i], connectors[c])
+                                          for i, c in steps))
                 if keep(cyc):
                     found.append(cyc)
     return tuple(sorted(found, key=_h_then_steps))
@@ -815,8 +826,7 @@ def enumerate_copy_cycles(system: CopySystem, bound,
             return is_tidy(system, cyc)
         return notion == "all" or is_semitidy(system, cyc)
 
-    return _closing_walks(system, CycleOfCopies, keep, gb,
-                          _max_cycle_length(gb))
+    return _closing_walks(system, keep, gb, _max_cycle_length(gb))
 
 
 def girth_of_system_witness(system: CopySystem, bound,
@@ -834,12 +844,13 @@ def girth_of_system_witness(system: CopySystem, bound,
         raise InvalidArgument(
             f"the girth of a system reads tidy or semitidy cycles, "
             f"got notion {notion!r}")
-    _require_copies_in_host(system)
+    _require_copies_in_host(system.host, system.copies)
     if not is_linear(system.host):
         raise PreconditionViolation(
             "the girth of a system is defined for linear hosts only")
     for cyc in enumerate_copy_cycles(system, bound, notion=notion):
-        if not has_master(system, cyc):
+        # the enumerated cycles are valid: no need to check them again
+        if next(_stars(system, cyc, _master), None) is None:
             return cyc
     return None
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .core import (Edge, Hypergraph, Vertex, _canonical_cyclic,
                    _require_girth_bound, canonical_edge, ekey, is_linear,
@@ -32,7 +32,8 @@ from .core import (Edge, Hypergraph, Vertex, _canonical_cyclic,
 from .copies import (Connector, Copy, CycleClass, CycleOfCopies,
                      _adjacent_coverable, _closing_walks, _copy_problems,
                      _joined_edges, _least_collapse, _Members,
-                     _require_copies_in_host, _stars)
+                     _require_copies_in_host, _sort_copies, _stars,
+                     check_copy_cycle)
 from .errors import InvalidArgument, PreconditionViolation, _require_int
 
 # ---------------------------------------------------------------------------
@@ -622,38 +623,6 @@ def derive(source: "Pretrain | PretrainCopySystem",
 
 
 # ---------------------------------------------------------------------------
-# systems of pretrain copies
-
-
-@dataclass(frozen=True)
-class PretrainCopySystem(_Members):
-    """A base pretrain with subpretrain copies.
-
-    Copies are plain vertex/edge sets; their wagon structure is the
-    restriction of the base relation, which determines it completely.
-    The edge copies of the host take part in big cycles alongside the
-    listed copies.  Members join through shared vertices and through
-    wagons they both meet, not through shared edges (:meth:`_link`).
-    """
-
-    base: Pretrain
-    copies: tuple[Copy, ...]
-
-    @property
-    def host(self) -> Hypergraph:
-        return self.base.hypergraph
-
-    def _link(self, e: Edge) -> Connector:
-        """What ``e`` lends the members holding it: its wagon's connector."""
-        return wagon_connector(self.base.wagon_of(e))
-
-
-def validate_pretrain_system(system: PretrainCopySystem) -> list[str]:
-    """Structural problems of a system of pretrain copies."""
-    return validate(system.host) + _copy_problems(system.host, system.copies)
-
-
-# ---------------------------------------------------------------------------
 # big cycles
 
 
@@ -683,54 +652,63 @@ class BigCycle(CycleOfCopies):
         return tuple(i for i, q in enumerate(self.connectors) if q.is_wagon)
 
 
+# ---------------------------------------------------------------------------
+# systems of pretrain copies
+
+
+@dataclass(frozen=True)
+class PretrainCopySystem(_Members):
+    """A base pretrain with subpretrain copies.
+
+    Copies are plain vertex/edge sets; their wagon structure is the
+    restriction of the base relation, which determines it completely.
+    The edge copies of the host take part in big cycles alongside the
+    listed copies.  Members join through shared vertices and through
+    wagons they both meet, not through shared edges (:meth:`_link`).
+    """
+
+    base: Pretrain
+    copies: tuple[Copy, ...]
+
+    @property
+    def host(self) -> Hypergraph:
+        return self.base.hypergraph
+
+    _cycle = BigCycle   # the cycles through the members
+
+    def _link(self, e: Edge) -> Connector:
+        """What ``e`` lends the members holding it: its wagon's connector."""
+        return wagon_connector(self.base.wagon_of(e))
+
+
+def validate_pretrain_system(system: PretrainCopySystem) -> list[str]:
+    """Structural problems of a system of pretrain copies."""
+    return validate(system.host) + _copy_problems(system.host, system.copies)
+
+
 def check_big_cycle(system: PretrainCopySystem,
                     cycle: BigCycle) -> list[str]:
     """Violations of the big-cycle conditions, empty when valid.
 
     Dangling references -- copies outside the host, unknown wagon ids,
     foreign vertices -- are errors rather than violations and raise.
+    The violations are those of :func:`partite.copies.check_copy_cycle`.
     """
     base = system.base
     H = base.hypergraph
-    for c in cycle.copies:
-        if not (c.vertex_set <= H.vertex_set
-                and c.edge_family <= H.edge_family):
-            raise InvalidArgument(
-                f"copy on {c.vertices!r} does not lie in the host")
+    _require_copies_in_host(H, cycle.copies)
     for q in cycle.connectors:
         if q.is_vertex and q.value not in H.vertex_set:
             raise InvalidArgument(
                 f"vertex connector {q.value!r} is not a host vertex")
         if q.is_wagon and not 0 <= q.value < base.num_wagons:
             raise InvalidArgument(f"unknown wagon id {q.value}")
-    problems: list[str] = []
-    n = cycle.length
-    for c in cycle.copies:
-        if not system.is_member(c):
-            problems.append(
-                f"(B1) copy on {c.vertices!r} is not in the family")
-    for i in range(n):
-        if cycle.copies[i] == cycle.copies[(i + 1) % n]:
-            problems.append(
-                f"(B1) consecutive copies at positions {i} and "
-                f"{(i + 1) % n} coincide")
-    if len(set(cycle.connectors)) != n:
-        problems.append("(B2) connectors are not distinct")
-    for i in range(n):
-        q = cycle.connectors[i]
-        a, b = cycle.copies[i], cycle.copies[(i + 1) % n]
-        if q.is_vertex:
-            if not (q.value in a.vertex_set and q.value in b.vertex_set):
-                problems.append(
-                    f"(B3) vertex connector {q.value!r} at position {i} "
-                    f"does not lie in both neighbouring copies")
-        else:
-            fam = base.wagon(q.value).edge_family
-            if not (fam & a.edge_family and fam & b.edge_family):
-                problems.append(
-                    f"(B4) wagon connector {q.value} at position {i} "
-                    f"shares no edge with both neighbouring copies")
-    return problems
+    return check_copy_cycle(system, cycle)
+
+
+def _covered(H: Hypergraph, u: Vertex, v: Vertex) -> bool:
+    """Some edge of ``H`` holds both ``u`` and ``v``."""
+    return any(v in H.edge_sets[k] for k in H.incident_edges[u])
 
 
 def _acceptability_problems(system: PretrainCopySystem,
@@ -749,13 +727,12 @@ def _acceptability_problems(system: PretrainCopySystem,
             problems.append(
                 f"(A2) a vertex connector away from position {i} lies in "
                 f"the wagon connector there")
-        elif len(hit) == 2:
-            pair = {cycle.connectors[(i - 1) % n].value,
-                    cycle.connectors[(i + 1) % n].value}
-            if any(pair <= f for f in base.hypergraph.edge_sets):
-                problems.append(
-                    f"(A2) a host edge covers both vertex connectors "
-                    f"flanking the wagon connector at position {i}")
+        elif len(hit) == 2 and _covered(
+                base.hypergraph, cycle.connectors[(i - 1) % n].value,
+                cycle.connectors[(i + 1) % n].value):
+            problems.append(
+                f"(A2) a host edge covers both vertex connectors "
+                f"flanking the wagon connector at position {i}")
     present = {cycle.connectors[i].value
                for i in cycle.wagon_connector_positions}
     for w in base.wagons:
@@ -852,19 +829,18 @@ def _piece_options(system: PretrainCopySystem, cycle: BigCycle,
     base = system.base
     left, right = cycle.connectors[i - 1], cycle.connectors[i]
     out = [short_piece(f) for f in _joined_edges(system, cycle, star, i)]
-    if left.is_vertex and right.is_vertex:
-        pair = {left.value, right.value}
-        # a long piece is admissible only where no host edge covers both
-        # flanking vertices
-        if not any(pair <= f for f in base.hypergraph.edge_sets):
-            for f1 in star.edges:
-                if left.value not in f1:
-                    continue
-                w = base.wagon_of(f1)
-                for f2 in star.edges:
-                    if (f2 != f1 and right.value in f2
-                            and base.wagon_of(f2) == w):
-                        out.append(long_piece(f1, w, f2))
+    # a long piece is admissible only where no host edge covers both
+    # flanking vertices
+    if (left.is_vertex and right.is_vertex
+            and not _covered(base.hypergraph, left.value, right.value)):
+        for f1 in star.edges:
+            if left.value not in f1:
+                continue
+            w = base.wagon_of(f1)
+            for f2 in star.edges:
+                if (f2 != f1 and right.value in f2
+                        and base.wagon_of(f2) == w):
+                    out.append(long_piece(f1, w, f2))
     return [(p, tuple(map(Copy.of_edge, p.edges)),
              (wagon_connector(p.wagon),) if p.is_long else ())
             for p in sorted(out, key=lambda p: p.key)]
@@ -875,9 +851,8 @@ def _piece_family(system: PretrainCopySystem, cycle: BigCycle,
     """Least family of pieces collapsing all non-star copies, or None."""
     if not system.is_real(star):
         return None
-    got = _least_collapse(cycle, star,
-                          lambda i: _piece_options(system, cycle, star, i),
-                          BigCycle, lambda c: check_big_cycle(system, c))
+    got = _least_collapse(system, cycle, star,
+                          lambda i: _piece_options(system, cycle, star, i))
     return None if got is None else SupremeWitness(star, *got)
 
 
@@ -889,12 +864,21 @@ def supreme_copies(system: PretrainCopySystem,
     of a different copy can be collapsed to one of its pieces so that
     the result is again a big cycle; long pieces are admitted only
     between two vertex connectors not covered by a common host edge.
+    The cycle must be valid for the system, not necessarily acceptable.
     """
-    return tuple(_stars(system, cycle, _piece_family))
+    return tuple(_supremes(system, cycle))
 
 
 def has_supreme(system: PretrainCopySystem, cycle: BigCycle) -> bool:
-    return next(_stars(system, cycle, _piece_family), None) is not None
+    return next(_supremes(system, cycle), None) is not None
+
+
+def _supremes(system: PretrainCopySystem, cycle: BigCycle) -> Iterator:
+    """The supremes of a valid cycle, lazily; an invalid cycle raises."""
+    problems = check_big_cycle(system, cycle)
+    if problems:
+        raise InvalidArgument("not a big cycle: " + "; ".join(problems))
+    return _stars(system, cycle, _piece_family)
 
 
 def find_supreme_copy(system: PretrainCopySystem,
@@ -934,7 +918,7 @@ def is_scattered(outer: PretrainCopySystem,
                 "inner and outer systems must share their base pretrain")
         inner_copies: tuple[Copy, ...] = inner.copies
     else:
-        inner_copies = tuple(sorted(set(inner), key=lambda c: c.key))
+        inner_copies = _sort_copies(set(inner))
     assigned: dict[Copy, list[Copy]] = {G: [] for G in outer.copies}
     for F in inner_copies:
         hosts = [G for G in outer.copies
@@ -1004,7 +988,7 @@ def enumerate_big_cycles(system: PretrainCopySystem, g: int,
     if g < 1 or max_len < 2:
         return ()
     return _closing_walks(
-        system, BigCycle,
+        system,
         lambda cyc: (notion == "valid"
                      or not _acceptability_problems(system, cyc)),
         (g, 2 * g), max_len)
@@ -1035,7 +1019,7 @@ def frak_Girth_witness(system: PretrainCopySystem,
     supreme copy.  A copy that does not lie in the host raises
     ``InvalidArgument``.
     """
-    _require_copies_in_host(system)
+    _require_copies_in_host(system.host, system.copies)
     _require_girth_bound(g)
     base = system.base
     if not is_linear(base.hypergraph):
@@ -1045,7 +1029,8 @@ def frak_Girth_witness(system: PretrainCopySystem,
             "two wagons share more than one vertex",
             wagon_cycle=frak_girth_pretrain_witness(base, 2))
     for cyc in enumerate_big_cycles(system, g, notion="acceptable"):
-        if not has_supreme(system, cyc):
+        # the enumerated cycles are valid: no need to check them again
+        if next(_stars(system, cyc, _piece_family), None) is None:
             return FrakGirthFailure(
                 "an acceptable big cycle has no supreme copy", cycle=cyc)
     return None

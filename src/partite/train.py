@@ -41,10 +41,10 @@ from .pretrain import (FrakGirthFailure, Pretrain, PretrainCopySystem, Wagon,
 
 def _girth_bounds(bounds) -> tuple[int, ...]:
     """A word of girth bounds, each at least two, as a tuple of ints."""
-    if isinstance(bounds, int):
+    if not isinstance(bounds, Iterable):
         raise InvalidArgument(
-            "a girth sequence is built from an iterable of bounds; wrap a "
-            "single bound in a tuple")
+            f"a girth sequence is built from an iterable of bounds, got "
+            f"{bounds!r}; wrap a single bound in a tuple")
     gs = tuple(bounds)
     for g in gs:
         _require_int("a girth bound", g)

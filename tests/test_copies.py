@@ -151,7 +151,7 @@ def test_check_copy_cycle_names_foreign_repeated_and_unshared_members():
          "coincide"),
         ([(real, edge_connector((2, 3))),
           (Copy.of_edge((2, 3)), vertex_connector(2))],
-         "is not an edge of both"),
+         "edge connector (2, 3) at position 1 does not join both"),
     ]
     for steps, message in cases:
         problems = check_copy_cycle(system, CycleOfCopies(tuple(steps)))
@@ -307,10 +307,23 @@ def test_wagon_connector_in_a_cycle_of_copies_is_reported():
         (Copy.of_edge((1, 2)), Connector("wagon", 0)),
     ))
     assert check_copy_cycle(system, bad) == [
-        "wagon connector 0 at position 1 is neither a vertex nor an edge"]
+        "wagon connector 0 at position 1 does not join both neighbouring "
+        "copies"]
     assert classify_cycle(system, bad).status == "invalid"
     with pytest.raises(InvalidArgument, match="wagon connector"):
         find_master_copy(system, bad)
+
+
+@pytest.mark.parametrize("q", [Connector("wagon", 0), vertex_connector(0)])
+def test_every_master_search_checks_the_cycle(q):
+    # connector 1 is a wagon, or a vertex outside the second copy
+    real = Copy((0, 1, 2), ((0, 1), (1, 2)))
+    system = CopySystem(complete_graph(3), (real,))
+    bad = CycleOfCopies(((Copy.of_edge((0, 1)), vertex_connector(1)),
+                         (Copy.of_edge((1, 2)), q)))
+    for search in (master_copies, has_master, find_master_copy):
+        with pytest.raises(InvalidArgument, match="not a cycle of copies"):
+            search(system, bad)
 
 
 @settings(max_examples=40, deadline=None)

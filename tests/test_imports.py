@@ -5,9 +5,15 @@ The check parses each module of the package and of the tests with
 outside its import statements, or inside a string annotation such as
 ``"Quasitrain | Train"``.  ``__init__.py`` re-exports what it imports
 and is skipped, as are ``__future__`` imports.
+
+The benchmark's tracer (``perfbench/spans.py``) wraps functions of the
+package by name and skips a name it cannot find, so a last check keeps
+every traced name bound in its module.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -59,3 +65,17 @@ def test_the_check_sees_plain_and_annotated_uses():
               "def f(x: 'A | None') -> Any:\n"
               "    return os.path\n")
     assert unused_imports(source) == ["Iterator", "C"]
+
+
+def test_every_traced_name_is_bound_in_its_module():
+    spec = importlib.util.spec_from_file_location(
+        "spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    home = {name: module for module, names in spans.LAYERS.values()
+            for name in names}
+    assert set(spans.COUNTERS) <= set(home)
+    unbound = [f"{module}.{name}" for name, module in home.items()
+               if not callable(getattr(importlib.import_module(
+                   f"partite.{module}"), name, None))]
+    assert unbound == []

@@ -12,18 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partite import (BigCycle, Copy, Hypergraph, InvalidArgument,
-                     PreconditionViolation, Pretrain, PretrainCopySystem,
-                     are_order_isomorphic, check_big_cycle,
-                     classify_big_cycle, complete_graph, contraction_map,
-                     derive, edge_connector, enumerate_big_cycles,
+from partite import (BigCycle, Copy, CycleOfCopies, Hypergraph,
+                     InvalidArgument, PreconditionViolation, Pretrain,
+                     PretrainCopySystem, are_order_isomorphic,
+                     check_big_cycle, check_copy_cycle, classify_big_cycle,
+                     complete_graph, contraction_map, derive,
+                     edge_connector, enumerate_big_cycles,
                      enumerate_copy_cycles, find_supreme_copy,
                      frak_Girth_exceeds, frak_Girth_witness,
                      frak_girth_pretrain_exceeds, frak_girth_pretrain_witness,
                      girth_of_system_exceeds, has_supreme, is_extension,
                      is_linear, is_linear_pretrain, is_scattered,
                      is_strongly_induced, is_subpretrain, is_tame_extension,
-                     long_piece, ordered_pair_problems,
+                     long_piece, master_copies, ordered_pair_problems,
                      ordered_pairs_isomorphic, Piece, semidirect_extend,
                      short_piece, subpretrain, supreme_copies,
                      validate_pretrain_system, vertex_connector,
@@ -635,24 +636,50 @@ def test_big_cycle_violations_are_reported():
     got = check_big_cycle(sys, BigCycle((
         (stranger, vertex_connector("q1")),
         (CH_F2, vertex_connector("u")))))
-    assert any("(B1)" in p and "family" in p for p in got)
+    assert any("neither a real copy nor an edge copy" in p for p in got)
     got = check_big_cycle(sys, BigCycle((
         (CH_F2, vertex_connector("q1")),
         (CH_F2, vertex_connector("q2")))))
-    assert any("(B1)" in p and "coincide" in p for p in got)
+    assert any("coincide" in p for p in got)
     got = check_big_cycle(sys, BigCycle((
         (CH_F1, vertex_connector("u")),
         (CH_F2, vertex_connector("u")))))
-    assert got == ["(B2) connectors are not distinct"]
+    assert got == ["connectors are not distinct"]
     got = check_big_cycle(sys, BigCycle((
         (CH_F1, vertex_connector("p1")),
         (CH_F2, vertex_connector("q1")))))
-    assert any("(B3)" in p for p in got)
+    assert any("vertex connector 'p1'" in p and "does not join" in p
+               for p in got)
     w = sys.base.wagon_of(("v", "p2"))
     got = check_big_cycle(sys, BigCycle((
         (CH_F1, vertex_connector("q1")),
         (CH_F2, wagon_connector(w)))))
-    assert any("(B4)" in p for p in got)
+    assert any(f"wagon connector {w}" in p and "does not join" in p
+               for p in got)
+
+
+def test_every_supreme_search_checks_the_cycle():
+    sys = chain_system()
+    # the vertex connector p1 does not lie in CH_F2
+    bad = BigCycle(((CH_F1, vertex_connector("p1")),
+                    (CH_F2, vertex_connector("q1"))))
+    for search in (supreme_copies, has_supreme):
+        with pytest.raises(InvalidArgument, match="not a big cycle"):
+            search(sys, bad)
+    with pytest.raises(PreconditionViolation, match="invalid"):
+        find_supreme_copy(sys, bad)
+
+
+def test_edge_connectors_join_no_pretrain_copy():
+    sys = PretrainCopySystem(Pretrain.singletons(complete_graph(3)), ())
+    bad = CycleOfCopies(((Copy.of_edge((0, 1)), vertex_connector(1)),
+                         (Copy.of_edge((1, 2)), edge_connector((0, 2)))))
+    assert check_big_cycle(sys, bad) == [
+        "edge connector (0, 2) at position 1 does not join both "
+        "neighbouring copies"]
+    assert classify_big_cycle(sys, bad).status == "invalid"
+    with pytest.raises(PreconditionViolation, match="invalid"):
+        find_supreme_copy(sys, bad)
 
 
 def test_dangling_references_raise():
@@ -1115,11 +1142,20 @@ def test_singleton_wagons_turn_copy_cycles_into_big_cycles(seed, g):
     rng = random.Random(seed)
     sys = random_copy_system(rng)
     P = Pretrain.singletons(sys.host)
+    psys = PretrainCopySystem(P, sys.copies)
+    cycles = enumerate_copy_cycles(sys, g, notion="all")
     lifted = [BigCycle(tuple(
         (c, wagon_connector(P.wagon_of(q.value)) if q.is_edge else q)
         for c, q in cyc.steps))
-        for cyc in enumerate_copy_cycles(sys, g, notion="all")]
-    big = enumerate_big_cycles(PretrainCopySystem(P, sys.copies), g,
-                               notion="valid")
+        for cyc in cycles]
+    big = enumerate_big_cycles(psys, g, notion="valid")
     assert len(lifted) == len(big)
     assert set(lifted) == set(big)
+    # wagon ids follow the edge order, so a lift keeps its positions and
+    # the masters are the supreme copies, every edge read as a short piece
+    for cyc, lift in zip(cycles, lifted):
+        assert check_copy_cycle(sys, cyc) == check_big_cycle(psys, lift) == []
+        masters = [(m, {i: short_piece(f) for i, f in family.items()})
+                   for m, family in master_copies(sys, cyc)]
+        assert masters == [(w.copy, dict(w.pieces))
+                           for w in supreme_copies(psys, lift)]

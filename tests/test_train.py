@@ -320,6 +320,8 @@ def test_system_seq_girth_needs_one_bound_per_level():
 
 @pytest.mark.parametrize("bounds, message", [
     (2, "wrap a single bound in a tuple"),
+    (2.5, "an iterable of bounds, got 2.5;"),
+    (None, "an iterable of bounds, got None;"),
     ((2, 1), "girth bounds start at two, got 1"),
 ])
 def test_girth_words_are_checked(bounds, message):
