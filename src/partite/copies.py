@@ -284,12 +284,10 @@ class _Members:
 
     @cached_property
     def _joined(self) -> dict[Connector, set]:
-        """The host edges, as sets, that each connector joins: a vertex
-        those through it, any other those lending it as ``_link(e)``."""
+        """The host edges, as sets, lending each link as ``_link(e)``."""
         out: dict[Connector, set] = {}
         for e, f in zip(self.host.edges, self.host.edge_sets):
-            for q in (*map(vertex_connector, e), self._link(e)):
-                out.setdefault(q, set()).add(f)
+            out.setdefault(self._link(e), set()).add(f)
         return out
 
 
@@ -383,6 +381,14 @@ def _joins(system, q: Connector, c: Copy) -> bool:
     if q.is_vertex:
         return q.value in c.vertex_set
     return not system._joined.get(q, frozenset()).isdisjoint(c.edge_family)
+
+
+def _joined_by(system, q: Connector):
+    """Host edges, as sets, whose edge copies ``q`` joins (:func:`_joins`)."""
+    if q.is_vertex:
+        H = system.host
+        return {H.edge_sets[k] for k in H.incident_edges.get(q.value, ())}
+    return system._joined.get(q, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +580,7 @@ def _masters(system: CopySystem, cycle: CycleOfCopies) -> Iterator:
 
 def _stars(system, cycle: CycleOfCopies, collapse) -> Iterator:
     """``collapse(system, cycle, star)`` for each distinct copy of the
-    cycle in canonical copy order, where it is not None.  Lazy: a caller
-    that stops at the first star collapses no later one.  Unchecked."""
+    cycle in canonical copy order where it is not None; lazy, unchecked."""
     for star in _sort_copies(set(cycle.copies)):
         got = collapse(system, cycle, star)
         if got is not None:
@@ -596,7 +601,7 @@ def _joined_edges(system, cycle: CycleOfCopies, star: Copy,
                   i: int) -> list[Edge]:
     """The edges of ``star`` that both connectors flanking position i
     join: the rule of :func:`_joins` for the edge copies of host edges."""
-    left, right = (system._joined.get(q, frozenset())
+    left, right = (_joined_by(system, q)
                    for q in (cycle.connectors[i - 1], cycle.connectors[i]))
     return [e for e, f in zip(star.edges, star.edge_sets)
             if f in left and f in right]
@@ -849,8 +854,7 @@ def girth_of_system_witness(system: CopySystem, bound,
         raise PreconditionViolation(
             "the girth of a system is defined for linear hosts only")
     for cyc in enumerate_copy_cycles(system, bound, notion=notion):
-        # the enumerated cycles are valid: no need to check them again
-        if next(_stars(system, cyc, _master), None) is None:
+        if not has_master(system, cyc):
             return cyc
     return None
 

@@ -1029,8 +1029,7 @@ def frak_Girth_witness(system: PretrainCopySystem,
             "two wagons share more than one vertex",
             wagon_cycle=frak_girth_pretrain_witness(base, 2))
     for cyc in enumerate_big_cycles(system, g, notion="acceptable"):
-        # the enumerated cycles are valid: no need to check them again
-        if next(_stars(system, cyc, _piece_family), None) is None:
+        if not has_supreme(system, cyc):
             return FrakGirthFailure(
                 "an acceptable big cycle has no supreme copy", cycle=cyc)
     return None
