@@ -160,10 +160,6 @@ def edge_connector(e: Iterable[Vertex]) -> Connector:
 Step = tuple[Copy, Connector]
 
 
-def _canonical_steps(steps: Sequence[Step]) -> tuple[Step, ...]:
-    return _canonical_cyclic(list(steps), lambda p: (p[0].key, p[1].key))
-
-
 @dataclass(frozen=True)
 class CycleOfCopies:
     """An alternating cyclic sequence of copies and connectors.
@@ -171,17 +167,33 @@ class CycleOfCopies:
     The constructor normalises the presentation to the lexicographically
     least rotation or reflection, so equal cycles written from different
     starting points compare equal.  Structural validity against a host
-    system is checked separately by :func:`check_copy_cycle`.
+    system is checked separately by :func:`check_copy_cycle`.  Cycles
+    of the closing walks skip the normalisation (:meth:`_canonical`):
+    they number copies and connectors in key order, so their least int
+    rotation is already the least rotation here.
     """
 
     steps: tuple[Step, ...]
 
     def __post_init__(self):
+        self._check_steps()
+        object.__setattr__(self, "steps", _canonical_cyclic(
+            list(self.steps), lambda p: (p[0].key, p[1].key)))
+
+    @classmethod
+    def _canonical(cls, steps: tuple[Step, ...]) -> "CycleOfCopies":
+        """The cycle of ``steps``, trusted to be in canonical form."""
+        cycle = object.__new__(cls)
+        object.__setattr__(cycle, "steps", steps)
+        cycle._check_steps()
+        return cycle
+
+    def _check_steps(self) -> None:
+        """What both constructors require of the steps."""
         if len(self.steps) < 2:
             raise InvalidArgument(
                 f"a cycle of copies has length at least 2, "
                 f"got {len(self.steps)}")
-        object.__setattr__(self, "steps", _canonical_steps(self.steps))
 
     @property
     def length(self) -> int:
@@ -614,6 +626,7 @@ def _least_collapse(system, cycle: CycleOfCopies, star: Copy,
     ``options_at(i)`` lists, in order of preference, the ways to
     replace the copy at position i: triples of a label, the run of
     copies taking its place and the connectors introduced between them.
+    It is asked in cyclic order, up to the first position with none.
     The backtracking runs over the replaced positions in cyclic order,
     with one option iterator per position; cyclically consecutive
     copies of the collapse must differ and the introduced connectors
@@ -624,17 +637,18 @@ def _least_collapse(system, cycle: CycleOfCopies, star: Copy,
     the chosen labels keyed by position together with the collapse.
     """
     n = cycle.length
-    positions = [i for i in range(n) if cycle.copies[i] != star]
+    positions, options = [], []
+    for i, c in enumerate(cycle.copies):
+        if c != star:
+            opts = options_at(i)
+            if not opts:
+                return None
+            positions.append(i)
+            options.append(opts)
     if not positions:
         # every copy of the cycle equals star; consecutive copies would
         # coincide, so such a cycle cannot exist in the first place
         return None
-    options = []
-    for i in positions:
-        opts = options_at(i)
-        if not opts:
-            return None
-        options.append(opts)
 
     taken = set(cycle.connectors)
     first = [star if c == star else None for c in cycle.copies]
@@ -717,18 +731,24 @@ def _closing_walks(system, keep, bound: tuple[int, int],
     least the start, never stays at a member and never reuses a
     connector; it has at most ``max_len`` steps.  Members, indexed by
     their vertices and the links ``system._link(e)`` of their edges,
-    join through what they share, in ``Connector.key`` order.  The
-    connectors are numbered once per call, and ``moves[i]`` holds a
-    (member index, connector id) pair for each connector out of member
-    i, by member index.  The walk runs on an explicit stack: ``tried[d]``
-    counts the moves tried out of ``walk[d]``, and ``twice[d]`` is twice
-    the order that the copies strictly inside ``walk[:d + 1]`` add.
+    join through what they share.  Connector ids follow
+    ``Connector.key`` as member indices follow ``Copy.key``, so the
+    least rotation of a walk's (member, connector id) steps is its
+    cycle's canonical form.  ``moves[i]`` holds, in order, a (member,
+    connector id) pair for each connector out of member i.  The walk
+    runs on an explicit stack: ``tried[d]`` counts the moves tried out
+    of ``walk[d]``, and ``twice[d]`` is twice the order that the copies
+    strictly inside ``walk[:d + 1]`` add.  A start with fewer than two
+    connectors to members above it closes nothing and is skipped.
 
     A walk back to its start after at least two steps closes a cycle.
     Its h comes from the kinds of its connectors before any cycle is
-    built, and a walk over the bound is dropped.  Every other cycle is
-    built once by ``system._cycle``, which canonicalises it, and ``keep``
-    is asked about it once, however many walks close it.
+    built, and a walk over the bound is dropped.  Of the two directions
+    only the walk leaving its start by the lesser connector is taken,
+    which is the canonical form when the start occurs once; a cycle
+    through its start twice is taken from its least rotation only.  So
+    each cycle is built once, by ``system._cycle._canonical``, and
+    ``keep`` is asked about it once.
 
     A copy whose two flanking connectors are placed adds a fixed 1
     (pure) or 1/2 (mixed) to the order, and the two copies at the ends
@@ -745,24 +765,25 @@ def _closing_walks(system, keep, bound: tuple[int, int],
             for j in holders.setdefault(q, []):
                 shared.setdefault((j, i), []).append(q)
             holders[q].append(i)
-    ids: dict[Connector, int] = {}
+    connectors = sorted((q for q, hs in holders.items() if len(hs) > 1),
+                        key=attrgetter("key"))
+    ids = {q: k for k, q in enumerate(connectors)}
     joints: dict[tuple[int, int], tuple[int, ...]] = {}
     moves: list[list[tuple[int, int]]] = [[] for _ in members]
     for i, j in sorted(shared):
-        got = tuple(ids.setdefault(q, len(ids))
-                    for q in sorted(shared[i, j], key=attrgetter("key")))
+        got = tuple(sorted(ids[q] for q in shared[i, j]))
         joints[i, j] = joints[j, i] = got
         moves[i] += ((j, q) for q in got)
         moves[j] += ((i, q) for q in got)
-    connectors = list(ids)
     kinds = [q.kind for q in connectors]
 
     used: set[int] = set()
-    seen: set[tuple] = set()
-    found: list[CycleOfCopies] = []
+    found: list[tuple] = []
     for first in range(len(members)):
-        walk, qs, twice = [first], [], [0]
-        tried = [bisect_left(moves[first], (first, -1))]
+        start = bisect_left(moves[first], (first, -1))
+        if len({q for _, q in moves[first][start:]}) < 2:
+            continue
+        walk, qs, twice, tried = [first], [], [0], [start]
         while walk:
             out = moves[walk[-1]] if len(walk) < max_len else ()
             k = tried[-1]
@@ -788,9 +809,9 @@ def _closing_walks(system, keep, bound: tuple[int, int],
             used.add(q)
             twice.append(now)
             tried.append(bisect_left(moves[j], (first, -1)))
-            # try to close the cycle back to the first member
+            # close back to the first member, left by the lesser connector
             for r in joints.get((j, first), ()):
-                if r in used:
+                if r < qs[0] or r in used:
                     continue
                 order = (now + (2 if kinds[r] == kinds[qs[0]] else 1)
                          + (2 if kinds[qs[-1]] == kinds[r] else 1)) // 2
@@ -798,19 +819,14 @@ def _closing_walks(system, keep, bound: tuple[int, int],
                     continue
                 # the steps are pairs of ints, their own sort keys
                 steps = tuple(zip(walk, qs + [r]))
-                key = _canonical_cyclic(steps, tuple)
-                if key in seen:
+                if (walk.count(first) > 1
+                        and _canonical_cyclic(steps, tuple) != steps):
                     continue
-                seen.add(key)
-                cyc = system._cycle(tuple((members[i], connectors[c])
-                                          for i, c in steps))
+                cyc = system._cycle._canonical(tuple(
+                    (members[i], connectors[c]) for i, c in steps))
                 if keep(cyc):
-                    found.append(cyc)
-    return tuple(sorted(found, key=_h_then_steps))
-
-
-def _h_then_steps(cycle: CycleOfCopies) -> tuple:
-    return (cycle.h, tuple((c.key, q.key) for c, q in cycle.steps))
+                    found.append(((order, len(walk)), steps, cyc))
+    return tuple(cyc for _, _, cyc in sorted(found))
 
 
 def enumerate_copy_cycles(system: CopySystem, bound,

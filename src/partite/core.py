@@ -397,7 +397,9 @@ def _canonical_cyclic(pairs: Sequence[tuple], key: Callable) -> tuple:
     ``pairs`` lists (station, connector) steps of a cyclic walk; the
     representative is chosen among all rotations of the sequence and of
     its reversal.  Reversal of e_1 v_1 ... e_n v_n traverses the same
-    cycle as e_n v_{n-1} e_{n-1} v_{n-2} ... e_2 v_1 e_1 v_n.
+    cycle as e_n v_{n-1} e_{n-1} v_{n-2} ... e_2 v_1 e_1 v_n.  The least
+    rotation starts at a least step, so only the rotations starting at
+    one are compared: O(n) keys and O(n) per tie of the least step.
     """
     n = len(pairs)
     stations = [p[0] for p in pairs]
@@ -407,9 +409,11 @@ def _canonical_cyclic(pairs: Sequence[tuple], key: Callable) -> tuple:
     ]
     seqs = (list(pairs), reversed_pairs)
     keys = [[key(p) for p in seq] for seq in seqs]
+    least = min(min(k) for k in keys)
     # ties go to the first candidate in the order listed, as with min
     _, s, r = min((k[r:] + k[:r], s, r)
-                  for s, k in enumerate(keys) for r in range(n))
+                  for s, k in enumerate(keys) for r in range(n)
+                  if k[r] == least)
     return tuple(seqs[s][r:] + seqs[s][:r])
 
 

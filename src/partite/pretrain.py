@@ -639,8 +639,8 @@ class BigCycle(CycleOfCopies):
     pretrain, never edges.
     """
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check_steps(self) -> None:
+        super()._check_steps()
         for _, q in self.steps:
             if q.is_edge:
                 raise InvalidArgument(

@@ -21,6 +21,23 @@ from partite.copies import Copy, CopySystem, CycleOfCopies
 # hypergraph cycles and girth
 
 
+def naive_canonical_cyclic(pairs, key) -> tuple:
+    """The least of all 2n rotations of a cyclic (station, connector)
+    sequence and of the same cycle walked backwards, comparing the keys
+    of their steps; ties go to the first in that order.
+
+    Walked backwards from station 0, the cycle s_0 c_0 ... s_{n-1}
+    c_{n-1} reads s_0 c_{n-1} s_{n-1} c_{n-2} ... s_1 c_0.
+    """
+    n = len(pairs)
+    stations = [s for s, _ in pairs]
+    connectors = [c for _, c in pairs]
+    backwards = [(stations[-j % n], connectors[-j - 1]) for j in range(n)]
+    rotations = [seq[r:] + seq[:r]
+                 for seq in (list(pairs), backwards) for r in range(n)]
+    return tuple(min(rotations, key=lambda rot: [key(p) for p in rot]))
+
+
 def naive_has_cycle_of_length(obj, n: int) -> bool:
     """Does a cycle e_1 v_1 ... e_n v_n exist?  Pure enumeration.
 
@@ -417,6 +434,30 @@ def random_copy_system(rng: random.Random, max_vertices: int = 7,
         if c is not None:
             copies.append(c)
     return CopySystem(H, tuple(copies))
+
+
+def mixed_label(v: int):
+    """An int vertex renamed to an int, a string or a tuple, so that the
+    canonical order of the renamed vertices is not that of the ints."""
+    return (v, str(v), (v, "t"))[v % 3]
+
+
+def relabel_system(system, label=mixed_label):
+    """A system of copies or of pretrain copies with every vertex v
+    renamed ``label(v)``; wagons follow their edges."""
+    from partite.pretrain import Pretrain, PretrainCopySystem
+
+    m = {v: label(v) for v in system.host.vertices}
+    H = system.host.relabel(m)
+    copies = tuple(Copy(tuple(map(m.get, c.vertices)),
+                        tuple(tuple(map(m.get, e)) for e in c.edges))
+                   for c in system.copies)
+    if isinstance(system, CopySystem):
+        return CopySystem(H, copies)
+    wagon = {frozenset(map(m.get, e)): w for e, w in
+             zip(system.host.edges, system.base.wagon_ids)}
+    return PretrainCopySystem(
+        Pretrain(H, tuple(wagon[frozenset(e)] for e in H.edges)), copies)
 
 
 # ---------------------------------------------------------------------------

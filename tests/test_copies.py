@@ -26,7 +26,8 @@ from partite import (Connector, Copy, CopySystem, CycleOfCopies, Hypergraph,
                      normalize_girth_bound, semitidy_equivalence_check,
                      validate_system, vertex_connector)
 from partite import copies
-from oracles import naive_copy_cycles, naive_masters, random_copy_system
+from oracles import (naive_copy_cycles, naive_masters, random_copy_system,
+                     relabel_system)
 from test_core import _stack_depth, cycle_graph
 
 
@@ -279,6 +280,29 @@ def test_master_search_stops_at_the_first_master(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_star_is_ruled_out_at_its_first_position_without_options(
+        monkeypatch):
+    # the edge copies of C12 on the cycle through all of them: no edge
+    # copy is a master, and the first position besides the star shows
+    # it before the later copies are compared with the star
+    n = 12
+    system = CopySystem(cycle_graph(n), ())
+    cycle = CycleOfCopies(tuple(
+        (Copy.of_edge((i, (i + 1) % n)), vertex_connector((i + 1) % n))
+        for i in range(n)))
+    assert check_copy_cycle(system, cycle) == []
+    compared = []
+    equal = Copy.__eq__
+    monkeypatch.setattr(Copy, "__eq__",
+                        lambda a, b: compared.append(a) or equal(a, b))
+    for star in cycle.copies:
+        compared.clear()
+        assert copies._master(system, cycle, star) is None
+        assert len(compared) <= 2
+    monkeypatch.undo()
+    assert not has_master(system, cycle)
+
+
 def test_edge_copies_never_breed_masters_here():
     system = star_system()
     cyc = CycleOfCopies((
@@ -495,6 +519,42 @@ def test_keep_is_asked_once_per_cycle(monkeypatch):
             enumerate_copy_cycles(system, bound, notion="tidy")
             assert len(calls) == len(
                 enumerate_copy_cycles(system, bound, notion="all"))
+
+
+def assert_canonical_and_sorted(cycles):
+    """The closing walks hand over each cycle as the public constructor
+    writes it, in (h, lexicographic) order."""
+    for c in cycles:
+        assert type(c)(c.steps).steps == c.steps
+    assert list(cycles) == sorted(cycles, key=lambda c: (
+        c.h, [(a.key, q.key) for a, q in c.steps]))
+
+
+def twice_through_the_least_member():
+    """F -1- {1,2} -2- F -3- {3,4} -4- F, where F is the least member:
+    its isolated vertex 0 puts it before the edge copies."""
+    H = Hypergraph(tuple(range(5)), ((1, 2), (2, 3), (3, 4)))
+    F = Copy(tuple(range(5)), H.edges)
+    E12, E34 = Copy.of_edge((1, 2)), Copy.of_edge((3, 4))
+    steps = ((F, vertex_connector(1)), (E12, vertex_connector(2)),
+             (F, vertex_connector(3)), (E34, vertex_connector(4)))
+    return H, F, steps
+
+
+def test_copy_cycles_come_canonical_and_sorted():
+    for seed in range(40):
+        system = random_copy_system(random.Random(seed))
+        for s in (system, relabel_system(system)):
+            for bound in (2, (2, 3)):
+                assert_canonical_and_sorted(
+                    enumerate_copy_cycles(s, bound, notion="all"))
+    H, F, steps = twice_through_the_least_member()
+    system = CopySystem(H, (F,))
+    assert system.members[0] == F
+    got = enumerate_copy_cycles(system, 4, notion="all")
+    assert got.count(CycleOfCopies(steps)) == 1
+    assert set(got) == naive_copy_cycles(system, 4)
+    assert_canonical_and_sorted(got)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ from partite import (Hypergraph, InvalidArgument, PreconditionViolation,
                      is_induced_subhypergraph, is_linear,
                      is_strongly_induced, make_partition, min_product_ramsey,
                      shortest_edge_cycle, validate)
-from oracles import (naive_girth_exceeds, naive_least_cycle,
-                     naive_shortest_cycle_length,
+from partite import core
+from oracles import (naive_canonical_cyclic, naive_girth_exceeds,
+                     naive_least_cycle, naive_shortest_cycle_length,
                      naive_strongly_induced_linear, random_hypergraph,
                      random_linear_hypergraph)
 
@@ -148,6 +149,29 @@ def test_canonical_cycle_invariance():
         for j in range(len(w)))
     assert canonical_cycle(rotated) == w
     assert canonical_cycle(reversed_form) == w
+
+
+def test_canonical_rotation_matches_the_plain_minimum():
+    # few labels, so the least step recurs, forwards and backwards; the
+    # second key folds stations together, so equal keys must break ties
+    # as the plain minimum does
+    rng = random.Random(5)
+    keys = (tuple, lambda p: (p[0] % 2, p[1]))
+    recurring = 0
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        labels = rng.randint(1, 4)
+        pairs = [(rng.randrange(labels), rng.randrange(labels))
+                 for _ in range(n)]
+        for key in keys:
+            assert core._canonical_cyclic(pairs, key) == \
+                naive_canonical_cyclic(pairs, key)
+        least = min(pairs)
+        backwards = [(pairs[-j % n][0], pairs[-j - 1][1]) for j in range(n)]
+        recurring += pairs.count(least) > 1 and least in backwards
+    assert recurring > 100
+    # the least step (0, 0) exists only walking backwards
+    assert core._canonical_cyclic([(0, 2), (1, 0)], tuple) == ((0, 0), (1, 2))
 
 
 @settings(max_examples=60, deadline=None)

@@ -32,8 +32,10 @@ from partite import (BigCycle, Copy, CycleOfCopies, Hypergraph,
 from partite import pretrain
 from oracles import (naive_big_cycles, naive_is_acceptable, naive_supremes,
                      naive_wagon_girth_exceeds, random_copy_system,
-                     random_pretrain, random_pretrain_system, random_subcopy)
-from test_copies import F1, F2, star_host
+                     random_pretrain, random_pretrain_system, random_subcopy,
+                     relabel_system)
+from test_copies import (F1, F2, assert_canonical_and_sorted, star_host,
+                         twice_through_the_least_member)
 
 # ---------------------------------------------------------------------------
 # fixtures
@@ -603,9 +605,12 @@ def test_scattered_needs_unique_hosts():
 
 
 def test_big_cycles_reject_edge_connectors():
-    with pytest.raises(InvalidArgument):
-        BigCycle(((CH_F1, vertex_connector("q1")),
-                  (CH_F2, edge_connector(("q1", "u")))))
+    # through the public constructor and the one the closing walks use
+    steps = ((CH_F1, vertex_connector("q1")),
+             (CH_F2, edge_connector(("q1", "u"))))
+    for make in (BigCycle, BigCycle._canonical):
+        with pytest.raises(InvalidArgument, match="not edges"):
+            make(steps)
 
 
 def test_big_cycles_canonicalize_rotation_and_reflection():
@@ -847,6 +852,21 @@ def test_big_cycles_of_order_three_match_brute_force():
         orders.update(c.order for c in got)
     assert sizes == {False, True}
     assert 3 in orders
+
+
+def test_big_cycles_come_canonical_and_sorted():
+    for seed in range(40):
+        system = random_pretrain_system(random.Random(seed))
+        for s in (system, relabel_system(system)):
+            for notion in ("valid", "acceptable"):
+                assert_canonical_and_sorted(
+                    enumerate_big_cycles(s, 2, notion=notion))
+    H, F, steps = twice_through_the_least_member()
+    system = PretrainCopySystem(Pretrain(H, (0, 1, 2)), (F,))
+    got = enumerate_big_cycles(system, 4, notion="valid")
+    assert got.count(BigCycle(steps)) == 1
+    assert set(got) == naive_big_cycles(system, 4, 8)
+    assert_canonical_and_sorted(got)
 
 
 # ---------------------------------------------------------------------------
